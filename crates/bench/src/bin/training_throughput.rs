@@ -1,6 +1,6 @@
-//! Training hot-path throughput: Hogwild steps/sec vs thread count, the
-//! fast-path (unrolled kernels + sigmoid LUT) speedup over the scalar
-//! reference path, and a per-phase breakdown of where step time goes.
+//! Training hot-path throughput: Hogwild steps/sec vs thread count, what
+//! the explicit SIMD kernels and the sigmoid LUT each contribute, and a
+//! per-phase breakdown of where step time goes.
 //!
 //! Usage: `cargo run --release -p gem-bench --bin training_throughput \
 //!         [--scale 80 --steps 200000 --threads-list 1,2,4 --seed 7]`
@@ -9,20 +9,16 @@
 //!
 //! 1. **Thread scaling** — steps/sec of the default configuration at each
 //!    thread count in `--threads-list` (the trainer spawns its own
-//!    `std::thread::scope` workers, so the sweep runs in-process), plus
-//!    the same sweep with `sharded_updates` (the deterministic HogBatch
-//!    merge path of DESIGN.md §5.5) for comparison. On a single-core host
-//!    multi-thread points are *skipped*, not measured: N threads
-//!    timesharing one core produce a flat curve that reads as "no
+//!    `std::thread::scope` workers, so the sweep runs in-process). On a
+//!    single-core host multi-thread points are *skipped*, not measured: N
+//!    threads timesharing one core produce a flat curve that reads as "no
 //!    scaling" when it really means "no cores", so those rows carry
 //!    `"skipped": "single-core host"` in the JSON instead of numbers.
-//! 2. **Kernel-variant ladder** (single-thread) — three rows:
-//!    `scalar-ref` (per-element `*_ref` kernels + exact sigmoid — the
-//!    pre-widening hot path), `widened` (unrolled/fused no-intrinsics
-//!    kernels + LUT, `simd: false`) and `simd` (the default: explicit
-//!    AVX2/NEON kernels + LUT where the CPU has them).
-//!    `simd_speedup_vs_widened` isolates the intrinsics' contribution;
-//!    `speedup_vs_reference` remains the cumulative headline number.
+//! 2. **Kernel variants** (single-thread) — two rows: `widened` (the
+//!    portable unrolled/fused no-intrinsics kernels + LUT, measured under
+//!    `simd::force_scalar`) and `simd` (the default: explicit AVX2/NEON
+//!    kernels + LUT where the CPU has them). `simd_speedup_vs_widened`
+//!    is the intrinsics' contribution, `lut_speedup` the LUT's.
 //! 3. **Phase breakdown** — [`GemTrainer::run_profiled`] attribution of
 //!    single-thread step time to sample / fetch / update.
 //! 4. **Host block** — `available_parallelism`, detected CPU features and
@@ -126,15 +122,29 @@ fn parse_threads_list(raw: &str) -> Vec<usize> {
     }
 }
 
+/// Single-thread [`steps_per_sec`] with every kernel dispatcher forced onto
+/// the portable widened loops — the route non-AVX2/non-NEON hosts and
+/// `GEM_NO_SIMD` run. The override is process-global, so this must not
+/// overlap another measurement.
+fn widened_steps_per_sec(
+    graphs: &TrainingGraphs,
+    cfg: &TrainConfig,
+    steps: u64,
+    trials: usize,
+) -> f64 {
+    gem_core::simd::force_scalar(true);
+    let sps = steps_per_sec(graphs, cfg, steps, 1, trials);
+    gem_core::simd::force_scalar(false);
+    sps
+}
+
 struct PathNumbers {
     /// Default path: explicit SIMD kernels (where detected) + LUT.
     simd_sps: f64,
-    /// `simd: false` — unrolled/fused no-intrinsics kernels + LUT.
+    /// Portable unrolled/fused no-intrinsics kernels + LUT.
     widened_sps: f64,
     /// Default kernels with the LUT off (isolates the LUT's contribution).
     exact_sps: f64,
-    /// `reference_kernels` + exact sigmoid — the pre-widening hot path.
-    reference_sps: f64,
 }
 
 fn bench_paths(
@@ -145,24 +155,13 @@ fn bench_paths(
 ) -> PathNumbers {
     let simd_sps = steps_per_sec(graphs, cfg, steps, 1, trials);
 
-    // Same kernels and LUT minus the intrinsics: `simd: false` pins the
-    // trainer to the widened kernels regardless of the detected backend.
-    let mut widened_cfg = cfg.clone();
-    widened_cfg.simd = false;
-    let widened_sps = steps_per_sec(graphs, &widened_cfg, steps, 1, trials);
+    let widened_sps = widened_steps_per_sec(graphs, cfg, steps, trials);
 
     let mut exact_cfg = cfg.clone();
     exact_cfg.sigmoid_lut = false;
     let exact_sps = steps_per_sec(graphs, &exact_cfg, steps, 1, trials);
 
-    // The pre-overhaul hot path: scalar per-element row kernels + exact
-    // sigmoid (the comparison isolates the row-op widening, the fused
-    // read+dot, the LUT and the explicit SIMD on top).
-    let mut ref_cfg = exact_cfg.clone();
-    ref_cfg.reference_kernels = true;
-    let reference_sps = steps_per_sec(graphs, &ref_cfg, steps, 1, trials);
-
-    PathNumbers { simd_sps, widened_sps, exact_sps, reference_sps }
+    PathNumbers { simd_sps, widened_sps, exact_sps }
 }
 
 fn run_smoke(args: &Args) {
@@ -220,16 +219,14 @@ fn run_smoke(args: &Args) {
     // numbers on shared CI machines are noisy, and the assertion is
     // "not a regression" (the ≥1.15x target lives in the full bench).
     if gem_core::simd::backend() != gem_core::SimdBackend::Scalar {
-        let mut widened_cfg = cfg.clone();
-        widened_cfg.simd = false;
         let mut simd_sps = steps_per_sec(&env.graphs, &cfg, steps, 1, 2);
-        let mut widened_sps = steps_per_sec(&env.graphs, &widened_cfg, steps, 1, 2);
+        let mut widened_sps = widened_steps_per_sec(&env.graphs, &cfg, steps, 2);
         for _ in 0..2 {
             if simd_sps >= widened_sps {
                 break;
             }
             simd_sps = steps_per_sec(&env.graphs, &cfg, steps, 1, 2);
-            widened_sps = steps_per_sec(&env.graphs, &widened_cfg, steps, 1, 2);
+            widened_sps = widened_steps_per_sec(&env.graphs, &cfg, steps, 2);
         }
         println!(
             "  {} backend: simd {simd_sps:.0} vs widened {widened_sps:.0} steps/sec ({:.2}x)",
@@ -244,19 +241,6 @@ fn run_smoke(args: &Args) {
         );
     } else {
         println!("  scalar backend dispatched: skipping simd>=widened assertion");
-    }
-
-    // The sharded path must land on the same model regardless of thread
-    // count *in the smoke too* (cheap spot check; the subprocess suite in
-    // gem-core pins the golden hash). On a single-core host it runs on
-    // one worker — two workers timesharing one core measure nothing.
-    {
-        let sharded_threads = if cores > 1 { 2 } else { 1 };
-        let mut sharded_cfg = cfg.clone();
-        sharded_cfg.sharded_updates = true;
-        let sps = steps_per_sec(&env.graphs, &sharded_cfg, steps, sharded_threads, 1);
-        println!("  sharded updates ({sharded_threads} thread(s)): {sps:.0} steps/sec");
-        assert!(sps > 0.0 && sps.is_finite(), "bad sharded steps/sec {sps}");
     }
 
     // Fault-tolerance tax: with every fail point disarmed, checkpointed
@@ -349,38 +333,29 @@ fn main() {
     // `None` marks a point skipped on a single-core host: measuring N
     // threads timesharing one core yields a flat curve that misreads as
     // "Hogwild does not scale".
-    let measure_sweep = |cfg: &TrainConfig, label: &str| -> Vec<(usize, Option<f64>)> {
-        threads_list
-            .iter()
-            .map(|&threads| {
-                if threads > 1 && cores == 1 {
-                    println!("  {threads} thread(s){label}: skipped (single-core host)");
-                    return (threads, None);
-                }
-                let sps = steps_per_sec(&env.graphs, cfg, steps, threads, trials);
-                println!("  {threads} thread(s){label}: {sps:.0} steps/sec");
-                (threads, Some(sps))
-            })
-            .collect()
-    };
-    let thread_sps = measure_sweep(&cfg, "");
-    let mut sharded_cfg = cfg.clone();
-    sharded_cfg.sharded_updates = true;
-    let sharded_sps = measure_sweep(&sharded_cfg, ", sharded");
+    let thread_sps: Vec<(usize, Option<f64>)> = threads_list
+        .iter()
+        .map(|&threads| {
+            if threads > 1 && cores == 1 {
+                println!("  {threads} thread(s): skipped (single-core host)");
+                return (threads, None);
+            }
+            let sps = steps_per_sec(&env.graphs, &cfg, steps, threads, trials);
+            println!("  {threads} thread(s): {sps:.0} steps/sec");
+            (threads, Some(sps))
+        })
+        .collect();
 
-    println!("[2/3] single-thread kernel-variant ladder");
+    println!("[2/3] single-thread kernel variants");
     let paths = bench_paths(&env.graphs, &cfg, steps, trials);
-    let speedup = paths.simd_sps / paths.reference_sps;
     let simd_speedup = paths.simd_sps / paths.widened_sps;
     let lut_speedup = paths.simd_sps / paths.exact_sps;
     println!(
         "  simd (default):             {:.0} steps/sec\n  \
          widened (no intrinsics):    {:.0} steps/sec\n  \
          exact sigmoid (LUT off):    {:.0} steps/sec\n  \
-         scalar-ref (pre-widening):  {:.0} steps/sec\n  \
-         => {speedup:.2}x vs scalar-ref, {simd_speedup:.2}x from SIMD alone, \
-         {lut_speedup:.2}x from the LUT alone",
-        paths.simd_sps, paths.widened_sps, paths.exact_sps, paths.reference_sps
+         => {simd_speedup:.2}x from SIMD alone, {lut_speedup:.2}x from the LUT alone",
+        paths.simd_sps, paths.widened_sps, paths.exact_sps
     );
     let lut_err = lut_max_abs_error();
     println!("  sigmoid LUT max |error| over [-40,40]: {lut_err:.2e}");
@@ -420,26 +395,19 @@ fn main() {
         last.steps_per_sec
     );
 
-    let sweep_json = |rows: &[(usize, Option<f64>)]| -> String {
-        rows.iter()
-            .map(|(t, s)| match s {
-                Some(s) => format!("    {{ \"threads\": {t}, \"steps_per_sec\": {s:.1} }}"),
-                None => format!("    {{ \"threads\": {t}, \"skipped\": \"single-core host\" }}"),
-            })
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    let threads_json = sweep_json(&thread_sps);
-    let sharded_json = sweep_json(&sharded_sps);
-    let variants_json = [
-        ("scalar-ref", paths.reference_sps),
-        ("widened", paths.widened_sps),
-        ("simd", paths.simd_sps),
-    ]
-    .iter()
-    .map(|(name, s)| format!("    {{ \"variant\": \"{name}\", \"steps_per_sec\": {s:.1} }}"))
-    .collect::<Vec<_>>()
-    .join(",\n");
+    let threads_json = thread_sps
+        .iter()
+        .map(|(t, s)| match s {
+            Some(s) => format!("    {{ \"threads\": {t}, \"steps_per_sec\": {s:.1} }}"),
+            None => format!("    {{ \"threads\": {t}, \"skipped\": \"single-core host\" }}"),
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let variants_json = [("widened", paths.widened_sps), ("simd", paths.simd_sps)]
+        .iter()
+        .map(|(name, s)| format!("    {{ \"variant\": \"{name}\", \"steps_per_sec\": {s:.1} }}"))
+        .collect::<Vec<_>>()
+        .join(",\n");
     let json = format!(
         concat!(
             "{{\n",
@@ -452,14 +420,11 @@ fn main() {
             "  \"trials\": {trials},\n",
             "{host},\n",
             "  \"threads\": [\n{threads_json}\n  ],\n",
-            "  \"sharded_threads\": [\n{sharded_json}\n  ],\n",
             "  \"kernel_variants\": [\n{variants_json}\n  ],\n",
             "  \"single_thread\": {{\n",
             "    \"default_steps_per_sec\": {d:.1},\n",
             "    \"widened_steps_per_sec\": {w:.1},\n",
             "    \"exact_sigmoid_steps_per_sec\": {e:.1},\n",
-            "    \"reference_steps_per_sec\": {r:.1},\n",
-            "    \"speedup_vs_reference\": {sp:.3},\n",
             "    \"simd_speedup_vs_widened\": {ssp:.3},\n",
             "    \"lut_speedup\": {lsp:.3},\n",
             "    \"lut_max_abs_error\": {lerr:.3e}\n",
@@ -478,13 +443,10 @@ fn main() {
         trials = trials,
         host = gem_bench::host_json("  "),
         threads_json = threads_json,
-        sharded_json = sharded_json,
         variants_json = variants_json,
         d = paths.simd_sps,
         w = paths.widened_sps,
         e = paths.exact_sps,
-        r = paths.reference_sps,
-        sp = speedup,
         ssp = simd_speedup,
         lsp = lut_speedup,
         lerr = lut_err,

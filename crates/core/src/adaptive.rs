@@ -20,11 +20,11 @@
 //! into a global-step interval once at construction
 //! ([`AdaptiveState::set_step_interval`]) and calls
 //! [`AdaptiveState::refresh_if_due`] at step-indexed check points (multiples
-//! of the tightest active interval, at most one tally flush apart; sharded
-//! window merges). An earlier revision bumped a shared
-//! `draws_since_refresh` counter on every draw, which made the refresh
-//! schedule depend on thread count and interleaving — the ROADMAP-flagged
-//! bug that blocked sharded GEM-A determinism.
+//! of the tightest active interval, at most one tally flush apart, and
+//! chunk ends). An earlier revision bumped a shared `draws_since_refresh`
+//! counter on every draw, which made the refresh schedule depend on thread
+//! count and interleaving; a schedule that is a pure function of the step
+//! index keeps single-thread GEM-A reproducible however a run is chunked.
 //!
 //! Refreshes are double-buffered: the claiming thread builds the new
 //! rankings *outside* the lock while samplers keep reading the previous

@@ -218,7 +218,7 @@ fn encode(ckpt: &Checkpoint) -> Result<Vec<u8>, PersistError> {
     }
     bytes.extend_from_slice(&(model.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&model);
-    let crc = crate::crc::crc32(&bytes);
+    let crc = gem_obs::crc::crc32(&bytes);
     bytes.extend_from_slice(&crc.to_le_bytes());
     Ok(bytes)
 }
@@ -238,7 +238,7 @@ fn parse(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     }
     let (covered, trailer) = bytes.split_at(bytes.len() - 4);
     let stored = u32::from_le_bytes(trailer.try_into().expect("4 bytes"));
-    if crate::crc::crc32(covered) != stored {
+    if gem_obs::crc::crc32(covered) != stored {
         return Err(PersistError::Corrupt("checksum mismatch"));
     }
     let mut cur = persist::Cursor { body: &covered[8..], pos: 0 };

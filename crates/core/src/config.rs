@@ -89,27 +89,6 @@ pub struct TrainConfig {
     /// turn off for bit-exact reproduction of the exact-sigmoid path
     /// (convergence is indistinguishable either way).
     pub sigmoid_lut: bool,
-    /// Route embedding row traffic through the scalar per-element
-    /// `AtomicMatrix::*_ref` kernels instead of the unrolled/fused ones.
-    /// The two paths are bit-identical in single-thread runs (pinned by the
-    /// golden regression test); this knob exists so the training-throughput
-    /// bench can measure the pre-widening hot path in-repo. Never enable it
-    /// for real training.
-    pub reference_kernels: bool,
-    /// Use the explicit SIMD kernels ([`crate::simd`]) when the CPU
-    /// supports them (on by default). Off pins this trainer to the widened
-    /// no-intrinsics kernels regardless of the process-global backend. All
-    /// kernel paths are bit-identical, so this only affects speed; the
-    /// `GEM_NO_SIMD` env var disables SIMD process-wide instead.
-    /// Ignored when `reference_kernels` is set.
-    pub simd: bool,
-    /// HogBatch-style sharded updates: workers accumulate row updates in
-    /// private logs over fixed 4096-step windows and merge them into the
-    /// shared matrices at the window boundary in global step order. The
-    /// merged model is bit-identical across thread counts (its own pinned
-    /// golden hash), at the cost of window-stale reads — see DESIGN.md
-    /// §5.5. Off by default (classic Hogwild).
-    pub sharded_updates: bool,
     /// Master RNG seed.
     pub seed: u64,
 }
@@ -129,9 +108,6 @@ impl TrainConfig {
             lr_decay_t0: 20_000,
             rectify: RectifyMode::Off,
             sigmoid_lut: true,
-            reference_kernels: false,
-            simd: true,
-            sharded_updates: false,
             seed,
         }
     }
@@ -187,9 +163,6 @@ mod tests {
         assert_eq!(a.lambda, 200.0);
         // The fast hot path is the default for every preset.
         assert!(a.sigmoid_lut);
-        assert!(!a.reference_kernels);
-        assert!(a.simd);
-        assert!(!a.sharded_updates);
 
         let p = TrainConfig::gem_p(1);
         assert_eq!(p.noise, NoiseKind::Degree);

@@ -30,7 +30,6 @@
 pub mod adaptive;
 pub mod checkpoint;
 pub mod config;
-pub mod crc;
 pub mod error;
 pub mod journal;
 pub mod math;

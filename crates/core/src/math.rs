@@ -3,7 +3,7 @@
 //! The hot kernels ([`dot`], [`axpy`], [`dot_batch`]) dispatch once per
 //! call (a relaxed one-byte load) to the explicit SIMD backend selected by
 //! [`crate::simd::backend`], falling back to the widened kernels
-//! ([`dot_widened`] et al.): unrolled loops over `chunks_exact(LANES)`
+//! (`dot_widened` et al.): unrolled loops over `chunks_exact(LANES)`
 //! blocks with independent accumulators. The widened shape matters:
 //! `chunks_exact` erases bounds checks, the fixed-width inner loop maps
 //! 1:1 onto SIMD lanes, and the multiple accumulators break the sequential
@@ -83,37 +83,6 @@ impl SigmoidLut {
         let lo = self.table[i];
         lo + (self.table[i + 1] - lo) * frac
     }
-
-    /// Batch `out[i] ≈ σ(xs[i])` through the active SIMD backend.
-    ///
-    /// On AVX2 the complete 8-lane blocks go through a gathered table
-    /// lookup that is bit-identical to [`SigmoidLut::value`] (clamped
-    /// tails and NaN propagation included); the remainder — and every
-    /// element on backends without a gather (NEON, scalar) — uses the
-    /// scalar lookup.
-    pub fn value_batch(&self, xs: &[f32], out: &mut [f32]) {
-        debug_assert_eq!(xs.len(), out.len());
-        #[allow(unused_mut)]
-        let mut done = 0usize;
-        #[cfg(target_arch = "x86_64")]
-        {
-            if crate::simd::backend() == crate::simd::Backend::Avx2 {
-                // SAFETY: AVX2 presence verified by the backend check; the
-                // table carries SIGMOID_LUT_SIZE + 1 knots as required.
-                done = unsafe {
-                    crate::simd::x86::sigmoid_lut_blocks(
-                        &self.table[..],
-                        SIGMOID_LUT_RANGE,
-                        xs,
-                        out,
-                    )
-                };
-            }
-        }
-        for (o, &x) in out[done..].iter_mut().zip(&xs[done..]) {
-            *o = self.value(x);
-        }
-    }
 }
 
 impl Default for SigmoidLut {
@@ -128,7 +97,7 @@ impl std::fmt::Debug for SigmoidLut {
     }
 }
 
-/// Dense dot product: [`dot_widened`] semantics through the active SIMD
+/// Dense dot product: `dot_widened` semantics through the active SIMD
 /// backend (bit-identical on every path).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
@@ -153,7 +122,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// the autovectorizable no-`unsafe` kernel, kept as the bit-exactness
 /// oracle for the explicit SIMD paths.
 #[inline]
-pub fn dot_widened(a: &[f32], b: &[f32]) -> f32 {
+pub(crate) fn dot_widened(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = [0.0f32; LANES];
     let mut blocks_a = a.chunks_exact(LANES);
@@ -179,7 +148,7 @@ pub fn dot_widened(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `out += scale * v` (axpy) through the active SIMD backend
-/// (bit-identical to [`axpy_widened`] on every path).
+/// (bit-identical to `axpy_widened` on every path).
 #[inline]
 pub fn axpy(out: &mut [f32], v: &[f32], scale: f32) {
     #[cfg(target_arch = "x86_64")]
@@ -204,7 +173,7 @@ pub fn axpy(out: &mut [f32], v: &[f32], scale: f32) {
 /// `out += scale * v` (axpy), unrolled into [`LANES`]-wide blocks — the
 /// widened oracle kernel (see [`dot_widened`]).
 #[inline]
-pub fn axpy_widened(out: &mut [f32], v: &[f32], scale: f32) {
+pub(crate) fn axpy_widened(out: &mut [f32], v: &[f32], scale: f32) {
     debug_assert_eq!(out.len(), v.len());
     let mut blocks_out = out.chunks_exact_mut(LANES);
     let mut blocks_v = v.chunks_exact(LANES);
@@ -256,7 +225,7 @@ pub fn dot_batch(q: &[f32], rows: &[f32], out: &mut [f32]) {
 
 /// [`dot_batch`] through the widened oracle kernel only.
 #[inline]
-pub fn dot_batch_widened(q: &[f32], rows: &[f32], out: &mut [f32]) {
+pub(crate) fn dot_batch_widened(q: &[f32], rows: &[f32], out: &mut [f32]) {
     let dim = q.len();
     debug_assert!(dim > 0, "query dimension must be positive");
     debug_assert_eq!(rows.len(), dim * out.len());
@@ -427,31 +396,6 @@ mod tests {
                 let lut = SigmoidLut::new();
                 let err = (lut.value(x) - sigmoid(x)).abs();
                 prop_assert!(err < 1e-3, "x={x}: error {err}");
-            }
-
-            /// The batched (SIMD-gather) LUT evaluation must be bitwise
-            /// identical to a scalar `value` loop — clamped tails, interior
-            /// interpolation and NaN propagation alike.
-            #[test]
-            fn lut_batch_is_bitwise_value_loop(
-                xs in prop::collection::vec(-20.0f32..20.0, 1..40),
-                nan_at in 0usize..80,
-            ) {
-                let mut xs = xs;
-                // Roughly half the cases plant a NaN somewhere in the batch.
-                if nan_at < xs.len() {
-                    xs[nan_at] = f32::NAN;
-                }
-                let lut = SigmoidLut::new();
-                let mut batch = vec![0.0f32; xs.len()];
-                lut.value_batch(&xs, &mut batch);
-                for (i, &x) in xs.iter().enumerate() {
-                    prop_assert_eq!(
-                        batch[i].to_bits(),
-                        lut.value(x).to_bits(),
-                        "index {} (x={})", i, x
-                    );
-                }
             }
         }
     }

@@ -68,7 +68,7 @@ impl AtomicMatrix {
     }
 
     /// Copy a row into `buf` through the active SIMD backend
-    /// (bit-identical to [`AtomicMatrix::read_row_widened`] on every path).
+    /// (bit-identical to the portable `read_row_widened` on every path).
     #[inline]
     pub fn read_row(&self, row: usize, buf: &mut [f32]) {
         #[cfg(target_arch = "x86_64")]
@@ -93,7 +93,7 @@ impl AtomicMatrix {
     /// Copy a row into `buf`, in [`LANES`]-wide unrolled blocks — the
     /// widened oracle kernel behind [`AtomicMatrix::read_row`].
     #[inline]
-    pub fn read_row_widened(&self, row: usize, buf: &mut [f32]) {
+    pub(crate) fn read_row_widened(&self, row: usize, buf: &mut [f32]) {
         debug_assert_eq!(buf.len(), self.dim);
         let src = self.row_slots(row);
         let mut blocks_s = src.chunks_exact(LANES);
@@ -127,8 +127,8 @@ impl AtomicMatrix {
 
     /// Copy a row into `buf` *and* return its dot product with `other`, in
     /// one pass over the row — the fused fetch of the trainer's negative
-    /// loop, through the active SIMD backend (bit-identical to
-    /// [`AtomicMatrix::read_row_dot_widened`] on every path).
+    /// loop, through the active SIMD backend (bit-identical to the
+    /// portable `read_row_dot_widened` on every path).
     #[inline]
     pub fn read_row_dot(&self, row: usize, other: &[f32], buf: &mut [f32]) -> f32 {
         #[cfg(target_arch = "x86_64")]
@@ -157,7 +157,7 @@ impl AtomicMatrix {
     /// `read_row(r, buf); dot(o, buf)` — the property the single-thread
     /// golden regression test pins down.
     #[inline]
-    pub fn read_row_dot_widened(&self, row: usize, other: &[f32], buf: &mut [f32]) -> f32 {
+    pub(crate) fn read_row_dot_widened(&self, row: usize, other: &[f32], buf: &mut [f32]) -> f32 {
         debug_assert_eq!(buf.len(), self.dim);
         debug_assert_eq!(other.len(), self.dim);
         let src = self.row_slots(row);
@@ -192,8 +192,8 @@ impl AtomicMatrix {
 
     /// `row += scale · delta`, then rectify (clamp at 0) — the fused
     /// update-and-ReLU projection of Eq. 5, through the active SIMD
-    /// backend. Racy read-modify-write by design; bit-identical to
-    /// [`AtomicMatrix::add_scaled_relu_widened`] on every path.
+    /// backend. Racy read-modify-write by design; bit-identical to the
+    /// portable `add_scaled_relu_widened` on every path.
     #[inline]
     pub fn add_scaled_relu(&self, row: usize, delta: &[f32], scale: f32) {
         #[cfg(target_arch = "x86_64")]
@@ -218,7 +218,7 @@ impl AtomicMatrix {
     /// Widened fused update-and-ReLU, in [`LANES`]-wide unrolled blocks —
     /// the oracle kernel behind [`AtomicMatrix::add_scaled_relu`].
     #[inline]
-    pub fn add_scaled_relu_widened(&self, row: usize, delta: &[f32], scale: f32) {
+    pub(crate) fn add_scaled_relu_widened(&self, row: usize, delta: &[f32], scale: f32) {
         debug_assert_eq!(delta.len(), self.dim);
         let dst = self.row_slots(row);
         let mut blocks_d = dst.chunks_exact(LANES);
@@ -236,8 +236,8 @@ impl AtomicMatrix {
     }
 
     /// `row += scale · delta` without the rectifier (ablation path),
-    /// through the active SIMD backend (bit-identical to
-    /// [`AtomicMatrix::add_scaled_widened`] on every path).
+    /// through the active SIMD backend (bit-identical to the portable
+    /// `add_scaled_widened` on every path).
     #[inline]
     pub fn add_scaled(&self, row: usize, delta: &[f32], scale: f32) {
         #[cfg(target_arch = "x86_64")]
@@ -262,7 +262,7 @@ impl AtomicMatrix {
     /// Widened un-rectified update, in [`LANES`]-wide unrolled blocks —
     /// the oracle kernel behind [`AtomicMatrix::add_scaled`].
     #[inline]
-    pub fn add_scaled_widened(&self, row: usize, delta: &[f32], scale: f32) {
+    pub(crate) fn add_scaled_widened(&self, row: usize, delta: &[f32], scale: f32) {
         debug_assert_eq!(delta.len(), self.dim);
         let dst = self.row_slots(row);
         let mut blocks_d = dst.chunks_exact(LANES);
@@ -276,56 +276,6 @@ impl AtomicMatrix {
         for (d, &v) in blocks_d.remainder().iter().zip(blocks_v.remainder()) {
             let old = f32::from_bits(d.load(Ordering::Relaxed));
             d.store((old + scale * v).to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Scalar reference `read_row` — the pre-widening per-element loop.
-    ///
-    /// Kept (with the other `*_ref` kernels) as the bit-exactness oracle
-    /// for the unrolled kernels and as the trainer's
-    /// `TrainConfig::reference_kernels` path, which the training-throughput
-    /// bench uses to measure the widening win in-repo.
-    #[inline]
-    pub fn read_row_ref(&self, row: usize, buf: &mut [f32]) {
-        debug_assert_eq!(buf.len(), self.dim);
-        let base = row * self.dim;
-        for (k, slot) in buf.iter_mut().enumerate() {
-            *slot = f32::from_bits(self.data[base + k].load(Ordering::Relaxed));
-        }
-    }
-
-    /// Scalar reference `write_row` (see [`AtomicMatrix::read_row_ref`]).
-    #[inline]
-    pub fn write_row_ref(&self, row: usize, buf: &[f32]) {
-        debug_assert_eq!(buf.len(), self.dim);
-        let base = row * self.dim;
-        for (k, &v) in buf.iter().enumerate() {
-            self.data[base + k].store(v.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Scalar reference `add_scaled_relu` (see [`AtomicMatrix::read_row_ref`]).
-    #[inline]
-    pub fn add_scaled_relu_ref(&self, row: usize, delta: &[f32], scale: f32) {
-        debug_assert_eq!(delta.len(), self.dim);
-        let base = row * self.dim;
-        for (k, &d) in delta.iter().enumerate() {
-            let slot = &self.data[base + k];
-            let old = f32::from_bits(slot.load(Ordering::Relaxed));
-            let new = (old + scale * d).max(0.0);
-            slot.store(new.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Scalar reference `add_scaled` (see [`AtomicMatrix::read_row_ref`]).
-    #[inline]
-    pub fn add_scaled_ref(&self, row: usize, delta: &[f32], scale: f32) {
-        debug_assert_eq!(delta.len(), self.dim);
-        let base = row * self.dim;
-        for (k, &d) in delta.iter().enumerate() {
-            let slot = &self.data[base + k];
-            let old = f32::from_bits(slot.load(Ordering::Relaxed));
-            slot.store((old + scale * d).to_bits(), Ordering::Relaxed);
         }
     }
 
@@ -446,6 +396,53 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The scalar per-element kernels the unrolled ones are checked against.
+    impl AtomicMatrix {
+        /// Scalar reference `read_row` — the pre-widening per-element loop.
+        ///
+        /// Kept (with the other `*_ref` kernels) as the bit-exactness oracle
+        /// for the unrolled kernels.
+        fn read_row_ref(&self, row: usize, buf: &mut [f32]) {
+            debug_assert_eq!(buf.len(), self.dim);
+            let base = row * self.dim;
+            for (k, slot) in buf.iter_mut().enumerate() {
+                *slot = f32::from_bits(self.data[base + k].load(Ordering::Relaxed));
+            }
+        }
+
+        /// Scalar reference `write_row` (see [`AtomicMatrix::read_row_ref`]).
+        fn write_row_ref(&self, row: usize, buf: &[f32]) {
+            debug_assert_eq!(buf.len(), self.dim);
+            let base = row * self.dim;
+            for (k, &v) in buf.iter().enumerate() {
+                self.data[base + k].store(v.to_bits(), Ordering::Relaxed);
+            }
+        }
+
+        /// Scalar reference `add_scaled_relu` (see [`AtomicMatrix::read_row_ref`]).
+        fn add_scaled_relu_ref(&self, row: usize, delta: &[f32], scale: f32) {
+            debug_assert_eq!(delta.len(), self.dim);
+            let base = row * self.dim;
+            for (k, &d) in delta.iter().enumerate() {
+                let slot = &self.data[base + k];
+                let old = f32::from_bits(slot.load(Ordering::Relaxed));
+                let new = (old + scale * d).max(0.0);
+                slot.store(new.to_bits(), Ordering::Relaxed);
+            }
+        }
+
+        /// Scalar reference `add_scaled` (see [`AtomicMatrix::read_row_ref`]).
+        fn add_scaled_ref(&self, row: usize, delta: &[f32], scale: f32) {
+            debug_assert_eq!(delta.len(), self.dim);
+            let base = row * self.dim;
+            for (k, &d) in delta.iter().enumerate() {
+                let slot = &self.data[base + k];
+                let old = f32::from_bits(slot.load(Ordering::Relaxed));
+                slot.store((old + scale * d).to_bits(), Ordering::Relaxed);
+            }
+        }
+    }
 
     /// A matrix row filled from `vals`, plus a second untouched guard row
     /// before and after to catch out-of-bounds lane writes.

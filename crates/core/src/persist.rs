@@ -42,8 +42,8 @@
 //! protocol, so the crash paths — short write, failed fsync, failed
 //! rename — are deterministically testable.
 
-use crate::crc::crc32;
 use crate::model::GemModel;
+use gem_obs::crc::crc32;
 use gem_obs::faults;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -243,7 +243,7 @@ fn write_v3<W: Write>(model: &GemModel, chunk_rows: usize, w: &mut W) -> Result<
 
 /// Frame one section: `tag | len | payload | crc32(tag|len|payload)`.
 fn write_section<W: Write>(w: &mut W, tag: u32, payload: &[u8]) -> Result<(), PersistError> {
-    let mut crc = crate::crc::Crc32::new();
+    let mut crc = gem_obs::crc::Crc32::new();
     let tag_bytes = tag.to_le_bytes();
     let len_bytes = (payload.len() as u32).to_le_bytes();
     crc.update(&tag_bytes);
@@ -617,7 +617,7 @@ impl ModelReader {
         }
         let mut rest = vec![0u8; len + 4];
         read_exact_or_corrupt(&mut file, &mut rest, "truncated section")?;
-        let mut crc = crate::crc::Crc32::new();
+        let mut crc = gem_obs::crc::Crc32::new();
         crc.update(&frame);
         crc.update(&rest[..len]);
         let stored = u32::from_le_bytes(rest[len..].try_into().expect("4 bytes"));

@@ -50,8 +50,6 @@
 //!   non-empty value other than `0` disables SIMD for the process).
 //! * [`force_scalar`] is a process-global test/bench override so kernel
 //!   variants can be measured in one process.
-//! * `TrainConfig::simd` gates the trainer's use of the dispatchers per
-//!   trainer, independent of the process-global switch.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -347,68 +345,12 @@ pub mod x86 {
             *pd.add(i) = sum.max(0.0);
         }
     }
-
-    /// AVX2 batch sigmoid-LUT lookup over the complete 8-lane blocks of
-    /// `xs`; returns how many leading elements were handled (the caller
-    /// finishes the remainder with the scalar `SigmoidLut::value`).
-    ///
-    /// Bitwise-identical to the scalar lookup, tails and NaN included:
-    /// `cvttps` truncates like `as usize` for in-range positions, the
-    /// epi32 clamp reproduces the cast's saturation, and the `LE/GE`
-    /// ordered-quiet masks blend in the exact clamped-tail values (both
-    /// compare false for NaN, which then propagates through the
-    /// interpolation arithmetic exactly as in the scalar path).
-    ///
-    /// # Safety
-    /// Caller must have verified AVX2 support. `table` must hold
-    /// `size + 1` knots where `size = table.len() - 1` is the interval
-    /// count the positions are scaled by, and `out.len() == xs.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sigmoid_lut_blocks(
-        table: &[f32],
-        range: f32,
-        xs: &[f32],
-        out: &mut [f32],
-    ) -> usize {
-        debug_assert_eq!(xs.len(), out.len());
-        debug_assert!(table.len() > 1);
-        let size = table.len() - 1;
-        let blocks = xs.len() / 8;
-        let scale = _mm256_set1_ps(size as f32 / (2.0 * range));
-        let shift = _mm256_set1_ps(range);
-        let zero = _mm256_setzero_ps();
-        let size_f = _mm256_set1_ps(size as f32);
-        let lo_val = _mm256_set1_ps(table[0]);
-        let hi_val = _mm256_set1_ps(table[size]);
-        let max_i = _mm256_set1_epi32(size as i32 - 1);
-        let one = _mm256_set1_epi32(1);
-        let pt = table.as_ptr();
-        for b in 0..blocks {
-            let x = _mm256_loadu_ps(xs.as_ptr().add(b * 8));
-            let pos = _mm256_mul_ps(_mm256_add_ps(x, shift), scale);
-            let m_lo = _mm256_cmp_ps::<_CMP_LE_OQ>(pos, zero);
-            let m_hi = _mm256_cmp_ps::<_CMP_GE_OQ>(pos, size_f);
-            // Truncate; clamp to a valid knot index (NaN/overflow become
-            // INT_MIN from cvttps and are pulled back to 0).
-            let iv = _mm256_cvttps_epi32(pos);
-            let iv = _mm256_min_epi32(_mm256_max_epi32(iv, _mm256_setzero_si256()), max_i);
-            let frac = _mm256_sub_ps(pos, _mm256_cvtepi32_ps(iv));
-            let lo = _mm256_i32gather_ps::<4>(pt, iv);
-            let hi = _mm256_i32gather_ps::<4>(pt, _mm256_add_epi32(iv, one));
-            let interp = _mm256_add_ps(lo, _mm256_mul_ps(_mm256_sub_ps(hi, lo), frac));
-            let r = _mm256_blendv_ps(interp, lo_val, m_lo);
-            let r = _mm256_blendv_ps(r, hi_val, m_hi);
-            _mm256_storeu_ps(out.as_mut_ptr().add(b * 8), r);
-        }
-        blocks * 8
-    }
 }
 
 /// NEON kernels (aarch64 baseline ISA). Same 8-lane block structure as the
 /// widened kernels, realised as two 4-lane registers; the reduction order
 /// replicates the widened pairwise tree exactly, so all the bit-exactness
-/// guarantees of the AVX2 path hold here too. There is no NEON gather, so
-/// the sigmoid LUT stays on the scalar path on aarch64.
+/// guarantees of the AVX2 path hold here too.
 #[cfg(target_arch = "aarch64")]
 pub mod neon {
     use core::arch::aarch64::*;

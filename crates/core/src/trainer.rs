@@ -19,7 +19,7 @@ use crate::checkpoint::Checkpoint;
 use crate::config::{GraphChoice, NoiseKind, RectifyMode, SamplingDirection, TrainConfig};
 use crate::error::TrainError;
 use crate::journal::TrainJournal;
-use crate::math::{axpy, axpy_widened, dot_widened, sigmoid, SigmoidLut};
+use crate::math::{axpy, sigmoid, SigmoidLut};
 use crate::matrix::AtomicMatrix;
 use crate::metrics::TrainerMetrics;
 use crate::model::GemModel;
@@ -131,9 +131,6 @@ pub struct GemTrainer<'g> {
     /// Precomputed sigmoid table (used when `config.sigmoid_lut`);
     /// read-only, shared by all workers.
     lut: SigmoidLut,
-    /// Kernel route resolved from `config.reference_kernels` /
-    /// `config.simd` at construction, so the hot loop never re-derives it.
-    kernels: KernelPath,
     /// Padded: bumped at the end of every `run`, and sharing a line with
     /// the read-mostly fields above would drag them along on every bump.
     steps_done: CachePadded<AtomicU64>,
@@ -167,136 +164,7 @@ struct WorkerTables<'a> {
 /// Steps between flushes of a worker-local tally into the shared counters.
 /// Large enough that the shared atomics see no contention, small enough
 /// that `train.steps` tracks Hogwild progress while a run is in flight.
-/// Sharded mode reuses this as its merge-window length, so tally flushes,
-/// fail-point checks and merges share one cadence.
 const TALLY_FLUSH: u64 = 4096;
-
-/// Seed-derivation salt for sharded merge windows, distinct from the
-/// `0x5EED` Hogwild chunk salt so the two modes never share RNG streams.
-const SHARD_SEED_SALT: u64 = 0x5AA3D;
-
-/// Which row/vector kernel implementations a trainer routes through,
-/// resolved once at construction from `TrainConfig`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelPath {
-    /// Scalar per-element `*_ref` kernels (`reference_kernels`): the
-    /// pre-widening baseline the throughput bench measures against.
-    Reference,
-    /// Widened no-intrinsics kernels only (`simd: false`), regardless of
-    /// the process-global SIMD backend.
-    Widened,
-    /// The dispatching kernels: explicit SIMD when
-    /// [`crate::simd::backend`] reports a non-scalar backend, widened
-    /// otherwise. The default.
-    Auto,
-}
-
-/// Destination of the row updates one SGD step produces: applied directly
-/// to the shared matrices (classic Hogwild) or recorded into a per-worker
-/// log for deterministic end-of-window merging (sharded mode). Compile-time
-/// generic like [`StepProf`], so the Hogwild hot loop pays nothing for the
-/// indirection.
-trait UpdateSink {
-    /// Deliver `matrix[kind][row] += scale * delta` (with the trainer's
-    /// rectifier policy; `positive` tells [`crate::RectifyMode::PositivesOnly`]
-    /// which updates to project).
-    fn apply(
-        &mut self,
-        trainer: &GemTrainer<'_>,
-        kind: usize,
-        row: usize,
-        delta: &[f32],
-        scale: f32,
-        positive: bool,
-    );
-}
-
-/// Classic Hogwild: updates land in the shared matrices immediately.
-struct DirectApply;
-
-impl UpdateSink for DirectApply {
-    #[inline]
-    fn apply(
-        &mut self,
-        trainer: &GemTrainer<'_>,
-        kind: usize,
-        row: usize,
-        delta: &[f32],
-        scale: f32,
-        positive: bool,
-    ) {
-        trainer.apply(&trainer.embeddings.matrices[kind], row, delta, scale, positive);
-    }
-}
-
-/// One logged row update; its `dim` prescaled f32s live in
-/// [`UpdateLog::data`] at `entry_index * dim`.
-struct LogEntry {
-    /// Step offset within the merge window. Global step order for replay
-    /// is ascending offset, then push order within an offset.
-    offset: u32,
-    /// Row index in the target matrix.
-    row: u32,
-    /// `kind_idx` of the target matrix.
-    kind: u8,
-    /// Whether the rectifier projection applies to this update (resolved
-    /// at log time so replay needs no policy context).
-    relu: bool,
-}
-
-/// A worker's private update log for one sharded merge window.
-///
-/// Deltas are stored *prescaled* (`scale * delta[k]`): the prescale is the
-/// same IEEE multiply the direct kernel would perform, and replay adds the
-/// stored value with scale 1.0 (`1.0 * p == p` for every f32, NaN and −0.0
-/// included), so a replayed update is bit-identical to a direct one
-/// applied to the same row contents.
-#[derive(Default)]
-struct UpdateLog {
-    meta: Vec<LogEntry>,
-    data: Vec<f32>,
-}
-
-impl UpdateLog {
-    fn clear(&mut self) {
-        self.meta.clear();
-        self.data.clear();
-    }
-}
-
-/// Sharded mode's sink: updates are recorded, not applied, so reads
-/// within a window see the window-start snapshot of the matrices.
-struct LogApply<'l> {
-    log: &'l mut UpdateLog,
-    /// Step offset within the window of the step currently executing.
-    offset: u32,
-}
-
-impl UpdateSink for LogApply<'_> {
-    #[inline]
-    fn apply(
-        &mut self,
-        trainer: &GemTrainer<'_>,
-        kind: usize,
-        row: usize,
-        delta: &[f32],
-        scale: f32,
-        positive: bool,
-    ) {
-        let project = match trainer.config.rectify {
-            RectifyMode::Full => true,
-            RectifyMode::PositivesOnly => positive,
-            RectifyMode::Off => false,
-        };
-        self.log.meta.push(LogEntry {
-            offset: self.offset,
-            row: row as u32,
-            kind: kind as u8,
-            relu: project,
-        });
-        self.log.data.extend(delta.iter().map(|&d| scale * d));
-    }
-}
 
 /// Best-effort string from a caught panic payload (`panic!` with a literal
 /// or a formatted message covers everything this crate can throw).
@@ -634,13 +502,6 @@ impl<'g> GemTrainer<'g> {
             .min()
             .map_or(0, |m| m.min(TALLY_FLUSH));
 
-        let kernels = if config.reference_kernels {
-            KernelPath::Reference
-        } else if config.simd {
-            KernelPath::Auto
-        } else {
-            KernelPath::Widened
-        };
         Ok(Self {
             config,
             graphs,
@@ -649,7 +510,6 @@ impl<'g> GemTrainer<'g> {
             adaptive,
             refresh_check,
             lut: SigmoidLut::new(),
-            kernels,
             steps_done: CachePadded::new(AtomicU64::new(0)),
             poisoned: AtomicBool::new(false),
             metrics: TrainerMetrics::disabled(),
@@ -722,8 +582,8 @@ impl<'g> GemTrainer<'g> {
 
     /// Refresh every adaptive sampler whose step-indexed schedule is due at
     /// `global_step` (see [`AdaptiveState::refresh_if_due`]). Called at
-    /// step-indexed check points only — `refresh_check` multiples, sharded
-    /// window merges, chunk ends — never from the draw hot path.
+    /// step-indexed check points only — `refresh_check` multiples and chunk
+    /// ends — never from the draw hot path.
     fn refresh_adaptive_due(&self, global_step: u64) {
         for (gi, per_graph) in self.adaptive.iter().enumerate() {
             for (side, state) in per_graph.iter().enumerate() {
@@ -787,188 +647,53 @@ impl<'g> GemTrainer<'g> {
     /// [`TrainError::Poisoned`] until [`GemTrainer::resume_from`] restores
     /// a consistent checkpoint.
     pub fn try_run(&self, steps: u64, threads: usize) -> Result<(), TrainError> {
-        if self.poisoned.load(Ordering::Relaxed) {
-            return Err(TrainError::Poisoned);
-        }
         let threads = threads.max(1);
-        if self.config.sharded_updates {
-            return self.try_run_sharded(steps, threads);
-        }
-        let started = std::time::Instant::now();
         let mut run_span = self.tracer.span("train.run", "train");
         run_span.arg("steps", steps);
         run_span.arg("threads", threads as u64);
+        self.run_chunk(steps, threads, &mut NoProf)
+    }
+
+    /// One chunk of training — the body shared by [`GemTrainer::try_run`]
+    /// and [`GemTrainer::run_profiled`], so both obey one poison contract.
+    /// `prof` instruments the single-thread loop; Hogwild workers always
+    /// run unprofiled.
+    fn run_chunk<P: StepProf>(
+        &self,
+        steps: u64,
+        threads: usize,
+        prof: &mut P,
+    ) -> Result<(), TrainError> {
+        if self.poisoned.load(Ordering::Relaxed) {
+            return Err(TrainError::Poisoned);
+        }
+        let started = std::time::Instant::now();
         self.metrics.workers.set(threads as f64);
         // Per-chunk base seed: chunks continue deterministically.
         let chunk = self.steps_done.load(Ordering::Relaxed);
         let base = split_seed(self.config.seed, 0x5EED ^ chunk);
-        // First worker panic, if any: (worker index, panic message).
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        if threads == 1 {
-            let mut rng = rng_from_seed(base);
-            let mut bufs = StepBuffers::new(self.config.dim);
-            let tables = self.worker_tables();
-            let mut tally = StepTally::default();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                // Adaptive refresh at step-indexed check points (one per
-                // active interval, at most one flush apart): deterministic,
-                // so single-thread GEM-A stays reproducible. GEM-P pays one
-                // u64 compare per step.
-                let mut next_check = self.next_refresh_check_after(chunk);
-                for i in 0..steps {
-                    tally.observe(self.step_impl(
-                        &mut rng,
-                        &mut bufs,
-                        &tables,
-                        chunk + i,
-                        &mut NoProf,
-                        &mut DirectApply,
-                    ));
-                    if tally.steps == TALLY_FLUSH {
-                        tally.flush_into(&self.metrics);
-                        // Same cadence as the flush so the disarmed check
-                        // costs one relaxed load per 4096 steps.
-                        if faults::should_fail("train.worker_panic") {
-                            panic!("injected fault: train.worker_panic");
-                        }
-                    }
-                    let global = chunk + i + 1;
-                    if global >= next_check {
-                        self.refresh_adaptive_due(global);
-                        next_check = self.next_refresh_check_after(global);
-                    }
+        // First panic, if any: (worker index, panic message).
+        let failure = if threads == 1 {
+            // Adaptive refresh at step-indexed check points (one per
+            // active interval, at most one flush apart) and at the chunk
+            // end, so a due refresh never slips past a chunk boundary:
+            // deterministic, so single-thread GEM-A stays reproducible.
+            // GEM-P pays one u64 compare per step.
+            let end = chunk + steps;
+            let mut next_check = self.next_refresh_check_after(chunk).min(end);
+            self.step_loop(base, chunk, 1, steps, prof, |done| {
+                let global = chunk + done;
+                if global >= next_check {
+                    self.refresh_adaptive_due(global);
+                    next_check = self.next_refresh_check_after(global).min(end);
                 }
-                // Chunk-end pass so a due refresh never slips past a chunk
-                // boundary (idempotent if the loop already covered it).
-                self.refresh_adaptive_due(chunk + steps);
-            }));
-            // Flush *outside* the caught closure: partial progress up to the
-            // panic still reaches the metrics and journal.
-            tally.flush_into(&self.metrics);
-            if let Err(payload) = result {
-                *failure.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some((0, panic_message(payload.as_ref())));
-            }
+            })
+            .err()
+            .map(|message| (0, message))
         } else {
-            // Shared progress estimate for the background refresher: each
-            // worker adds its steps at `bump` granularity — the tightest
-            // active refresh interval, at most one tally flush — so a
-            // sub-flush schedule is not quantized up to 4096 steps.
-            let bump = match self.refresh_check {
-                0 => TALLY_FLUSH,
-                c => c,
-            };
-            let live_steps = CachePadded::new(AtomicU64::new(chunk));
-            let stop = AtomicBool::new(false);
-            std::thread::scope(|outer| {
-                // Background refresher (GEM-A only): owns every
-                // adaptive-ranking rebuild so Hogwild workers never stall on
-                // one — rebuilds are double-buffered, so samplers keep
-                // reading the previous rankings until the swap. Workers
-                // unpark it at every tally flush; it refreshes whatever the
-                // step-indexed schedule says is due at the reported
-                // progress. Its panics (e.g. the `train.adaptive_refresh`
-                // fail point) are contained exactly like a worker's,
-                // reported with worker index `threads`.
-                let refresher = self.has_adaptive().then(|| {
-                    let (failure, live_steps, stop) = (&failure, &live_steps, &stop);
-                    outer.spawn(move || {
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            loop {
-                                self.refresh_adaptive_due(live_steps.load(Ordering::Relaxed));
-                                if stop.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                std::thread::park_timeout(std::time::Duration::from_millis(1));
-                            }
-                            // Chunk-end pass so a due refresh never slips
-                            // past a chunk boundary.
-                            self.refresh_adaptive_due(chunk + steps);
-                        }));
-                        if let Err(payload) = result {
-                            let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
-                            if slot.is_none() {
-                                *slot = Some((threads, panic_message(payload.as_ref())));
-                            }
-                        }
-                    })
-                });
-                let refresher_thread = refresher.as_ref().map(|h| h.thread().clone());
-                std::thread::scope(|scope| {
-                    for t in 0..threads {
-                        let quota = steps / threads as u64
-                            + if (t as u64) < steps % threads as u64 { 1 } else { 0 };
-                        let seed = split_seed(base, t as u64 + 1);
-                        let failure = &failure;
-                        let live_steps = &live_steps;
-                        let refresher_thread = refresher_thread.clone();
-                        scope.spawn(move || {
-                            // Worker-lifetime span: each worker thread records
-                            // into its own ring, so worker timelines land on
-                            // separate rows of the Chrome trace.
-                            let mut worker_span = self.tracer.span("train.worker", "train");
-                            worker_span.arg("worker", t as u64);
-                            worker_span.arg("quota", quota);
-                            let mut rng = rng_from_seed(seed);
-                            let mut bufs = StepBuffers::new(self.config.dim);
-                            // Private sampling tables: positive-edge draws touch
-                            // only this worker's memory (see [`WorkerTables`]).
-                            let tables = self.worker_tables();
-                            let mut tally = StepTally::default();
-                            let mut since_bump = 0u64;
-                            let result = catch_unwind(AssertUnwindSafe(|| {
-                                for i in 0..quota {
-                                    // Workers share the global decay clock
-                                    // approximately: worker `t` takes step
-                                    // indices `chunk + t, chunk + t + threads,
-                                    // ...`, so the workers jointly cover
-                                    // `chunk..chunk + steps` and every index
-                                    // drives the learning-rate schedule exactly
-                                    // once.
-                                    let step_idx = chunk + t as u64 + i * threads as u64;
-                                    tally.observe(self.step_impl(
-                                        &mut rng,
-                                        &mut bufs,
-                                        &tables,
-                                        step_idx,
-                                        &mut NoProf,
-                                        &mut DirectApply,
-                                    ));
-                                    if tally.steps == TALLY_FLUSH {
-                                        tally.flush_into(&self.metrics);
-                                        if faults::should_fail("train.worker_panic") {
-                                            panic!("injected fault: train.worker_panic");
-                                        }
-                                    }
-                                    if let Some(rt) = &refresher_thread {
-                                        since_bump += 1;
-                                        if since_bump == bump {
-                                            since_bump = 0;
-                                            live_steps.fetch_add(bump, Ordering::Relaxed);
-                                            rt.unpark();
-                                        }
-                                    }
-                                }
-                            }));
-                            tally.flush_into(&self.metrics);
-                            if let Err(payload) = result {
-                                let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
-                                if slot.is_none() {
-                                    *slot = Some((t, panic_message(payload.as_ref())));
-                                }
-                            }
-                        });
-                    }
-                });
-                // Workers are done: stop the refresher (it makes one final
-                // chunk-boundary pass on the way out).
-                stop.store(true, Ordering::Relaxed);
-                if let Some(rt) = &refresher_thread {
-                    rt.unpark();
-                }
-            });
-        }
-        if let Some((worker, message)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            self.run_hogwild(steps, threads, chunk, base)
+        };
+        if let Some((worker, message)) = failure {
             self.poisoned.store(true, Ordering::Relaxed);
             return Err(TrainError::WorkerPanicked { worker, message });
         }
@@ -980,244 +705,179 @@ impl<'g> GemTrainer<'g> {
         Ok(())
     }
 
-    /// Sharded (HogBatch-style) run behind `TrainConfig::sharded_updates`:
-    /// the `steps` are cut into [`TALLY_FLUSH`]-sized merge windows. Within
-    /// a window, step `j` (0-based window offset) runs on worker
-    /// `j % threads` with a *per-step* RNG derived from the window seed —
-    /// so the work a step performs depends only on `(seed, steps_done,
-    /// window, j)`, never on which worker ran it — and every row update is
-    /// logged, prescaled, instead of applied; all reads see the
-    /// window-start snapshot of the matrices. At the window boundary the
-    /// logs are replayed into the shared matrices in global step order,
-    /// partitioned over the threads by a deterministic `(kind, row)` hash
-    /// so each row's sequence is applied by exactly one merger.
+    /// The SGD step loop, written once for the single-thread runner, the
+    /// profiler and every Hogwild worker: `quota` steps at global indices
+    /// `first, first + stride, …` on a fresh RNG stream from `seed`.
+    /// `after_step` is the caller's per-step hook, handed the number of
+    /// steps this loop has completed (refresh checks, progress bumps); it
+    /// is monomorphised, so each caller's loop carries only its own hook.
     ///
-    /// Net effect: the merged model is **bit-identical for every thread
-    /// count** (the sharded golden hash + subprocess determinism test pin
-    /// 1/2/4 threads to one hash) and hot rows stop ping-ponging between
-    /// cores mid-window — at the price of window-stale reads (one window =
-    /// one [`TALLY_FLUSH`] cadence, the same staleness order Hogwild
-    /// already tolerates). The adaptive sampler refreshes at window
-    /// boundaries on its step-indexed schedule, so sharded GEM-A is
-    /// determinism-pinned across thread counts too (the GEM-A sharded
-    /// golden in `tests/sharded_determinism.rs`).
-    ///
-    /// Fail points, panic containment, poisoning and checkpoint semantics
-    /// match [`GemTrainer::try_run`]: the `train.worker_panic` fail point
-    /// is checked once per worker per window, a panicking worker poisons
-    /// the trainer (merged-but-unfinished windows are a half-applied chunk)
-    /// and the step counter only advances on full success.
-    fn try_run_sharded(&self, steps: u64, threads: usize) -> Result<(), TrainError> {
-        let started = std::time::Instant::now();
-        let mut run_span = self.tracer.span("train.run", "train");
-        run_span.arg("steps", steps);
-        run_span.arg("threads", threads as u64);
-        run_span.arg("sharded", 1);
-        self.metrics.workers.set(threads as f64);
-        let chunk = self.steps_done.load(Ordering::Relaxed);
-        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
-        // Log arenas are reused across windows, so steady-state windows
-        // allocate nothing.
-        let mut logs: Vec<UpdateLog> = (0..threads).map(|_| UpdateLog::default()).collect();
-        let mut window_start = 0u64;
-        while window_start < steps {
-            let wlen = (steps - window_start).min(TALLY_FLUSH);
-            let wseed = split_seed(self.config.seed, SHARD_SEED_SALT ^ (chunk + window_start));
-            // Compute phase: workers log updates; shared rows are read-only.
-            if threads == 1 {
-                self.sharded_worker(
-                    0,
-                    1,
-                    wlen,
-                    wseed,
-                    chunk + window_start,
-                    &mut logs[0],
-                    &failure,
-                );
-            } else {
-                std::thread::scope(|scope| {
-                    for (t, log) in logs.iter_mut().enumerate() {
-                        let failure = &failure;
-                        scope.spawn(move || {
-                            self.sharded_worker(
-                                t,
-                                threads,
-                                wlen,
-                                wseed,
-                                chunk + window_start,
-                                log,
-                                failure,
-                            );
-                        });
-                    }
-                });
-            }
-            if failure.lock().unwrap_or_else(|e| e.into_inner()).is_some() {
-                // Don't merge a window whose logs may be truncated by a
-                // panic: the model keeps the window-start snapshot and the
-                // trainer is poisoned below.
-                break;
-            }
-            // Merge phase: replay in global step order, rows partitioned
-            // deterministically across mergers.
-            if threads == 1 {
-                self.replay_window(&logs, wlen, 1, 0);
-            } else {
-                std::thread::scope(|scope| {
-                    for me in 0..threads {
-                        let logs = &logs;
-                        scope.spawn(move || self.replay_window(logs, wlen, threads, me));
-                    }
-                });
-            }
-            // Boundary refresh: the merged matrices and the global step
-            // index at a window boundary are both bit-identical for every
-            // thread count, so the sharded GEM-A refresh sequence — and
-            // therefore the whole sharded stream — is thread-count
-            // deterministic (pinned by `tests/sharded_determinism.rs`).
-            // Contained like a worker panic so the armed
-            // `train.adaptive_refresh` fail point poisons the trainer
-            // instead of unwinding through the caller.
-            let refreshed = catch_unwind(AssertUnwindSafe(|| {
-                self.refresh_adaptive_due(chunk + window_start + wlen);
-            }));
-            if let Err(payload) = refreshed {
-                let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
-                if slot.is_none() {
-                    *slot = Some((threads, panic_message(payload.as_ref())));
-                }
-                break;
-            }
-            window_start += wlen;
-        }
-        if let Some((worker, message)) = failure.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            self.poisoned.store(true, Ordering::Relaxed);
-            return Err(TrainError::WorkerPanicked { worker, message });
-        }
-        self.steps_done.fetch_add(steps, Ordering::Relaxed);
-        let elapsed = started.elapsed().as_secs_f64();
-        if elapsed > 0.0 {
-            self.metrics.steps_per_sec.set(steps as f64 / elapsed);
-        }
-        Ok(())
-    }
-
-    /// One worker's compute half of a sharded window: execute window
-    /// offsets `worker, worker + threads, …` with per-step derived RNGs,
-    /// logging updates into `log` (cleared first). Panics are contained
-    /// exactly like Hogwild workers'; the partial tally still flushes.
-    #[allow(clippy::too_many_arguments)]
-    fn sharded_worker(
+    /// The loop runs under `catch_unwind`: a panic (a bug, or the armed
+    /// `train.worker_panic` / `train.adaptive_refresh` fail points) comes
+    /// back as `Err(message)`. The tally is flushed *outside* the caught
+    /// closure, so partial progress up to the panic still reaches the
+    /// metrics and journal.
+    fn step_loop<P: StepProf>(
         &self,
-        worker: usize,
-        threads: usize,
-        wlen: u64,
-        wseed: u64,
-        window_base: u64,
-        log: &mut UpdateLog,
-        failure: &Mutex<Option<(usize, String)>>,
-    ) {
-        log.clear();
+        seed: u64,
+        first: u64,
+        stride: u64,
+        quota: u64,
+        prof: &mut P,
+        mut after_step: impl FnMut(u64),
+    ) -> Result<(), String> {
+        let mut rng = rng_from_seed(seed);
         let mut bufs = StepBuffers::new(self.config.dim);
         let tables = self.worker_tables();
         let mut tally = StepTally::default();
-        let mut sink = LogApply { log, offset: 0 };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut j = worker as u64;
-            while j < wlen {
-                sink.offset = j as u32;
-                let mut rng = rng_from_seed(split_seed(wseed, j));
-                tally.observe(self.step_impl(
-                    &mut rng,
-                    &mut bufs,
-                    &tables,
-                    window_base + j,
-                    &mut NoProf,
-                    &mut sink,
-                ));
-                j += threads as u64;
-            }
-            // Window boundary: the same disarmed-cost fail-point cadence
-            // as the Hogwild tally flush (one check per ≤4096 steps).
-            if faults::should_fail("train.worker_panic") {
-                panic!("injected fault: train.worker_panic");
+            let mut t = first;
+            for done in 0..quota {
+                prof.begin();
+                tally.observe(self.step_impl(&mut rng, &mut bufs, &tables, t, prof));
+                t += stride;
+                if tally.steps == TALLY_FLUSH {
+                    tally.flush_into(&self.metrics);
+                    // Same cadence as the flush so the disarmed check
+                    // costs one relaxed load per 4096 steps.
+                    if faults::should_fail("train.worker_panic") {
+                        panic!("injected fault: train.worker_panic");
+                    }
+                }
+                after_step(done + 1);
             }
         }));
         tally.flush_into(&self.metrics);
-        if let Err(payload) = result {
-            let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
-            if slot.is_none() {
-                *slot = Some((worker, panic_message(payload.as_ref())));
-            }
-        }
+        result.map_err(|payload| panic_message(payload.as_ref()))
     }
 
-    /// Merge half of a sharded window: walk the window's offsets in order,
-    /// draining each offset's entries from the owning worker's log (push
-    /// order within an offset), and apply the entries this merger owns —
-    /// `(row * 5 + kind) % threads == me`. Every row's update sequence is
-    /// therefore applied by exactly one merger, in an order independent of
-    /// `threads`, which is what makes the merged model bit-identical
-    /// across thread counts.
-    fn replay_window(&self, logs: &[UpdateLog], wlen: u64, threads: usize, me: usize) {
-        let dim = self.config.dim;
-        let mut cursors = vec![0usize; logs.len()];
-        for j in 0..wlen as usize {
-            let t = j % logs.len();
-            let log = &logs[t];
-            let cur = &mut cursors[t];
-            while *cur < log.meta.len() && log.meta[*cur].offset == j as u32 {
-                let e = &log.meta[*cur];
-                if threads == 1 || (e.row as usize * 5 + e.kind as usize) % threads == me {
-                    let d = &log.data[*cur * dim..(*cur + 1) * dim];
-                    self.apply_logged(e.kind as usize, e.row as usize, d, e.relu);
-                }
-                *cur += 1;
+    /// The multi-worker half of [`GemTrainer::run_chunk`]: `threads`
+    /// Hogwild workers plus, for GEM-A, the background refresher. Returns
+    /// the first contained panic as `(worker index, message)`.
+    fn run_hogwild(
+        &self,
+        steps: u64,
+        threads: usize,
+        chunk: u64,
+        base: u64,
+    ) -> Option<(usize, String)> {
+        let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
+        let record = |worker: usize, message: String| {
+            let mut slot = failure.lock().unwrap_or_else(|e| e.into_inner());
+            if slot.is_none() {
+                *slot = Some((worker, message));
             }
-        }
+        };
+        // Shared progress estimate for the background refresher: each
+        // worker adds its steps at `bump` granularity — the tightest
+        // active refresh interval, at most one tally flush — so a
+        // sub-flush schedule is not quantized up to 4096 steps.
+        let bump = match self.refresh_check {
+            0 => TALLY_FLUSH,
+            c => c,
+        };
+        let live_steps = CachePadded::new(AtomicU64::new(chunk));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|outer| {
+            // Background refresher (GEM-A only): owns every
+            // adaptive-ranking rebuild so Hogwild workers never stall on
+            // one — rebuilds are double-buffered, so samplers keep
+            // reading the previous rankings until the swap. Workers
+            // unpark it at every bump; it refreshes whatever the
+            // step-indexed schedule says is due at the reported
+            // progress. Its panics (e.g. the `train.adaptive_refresh`
+            // fail point) are contained exactly like a worker's,
+            // reported with worker index `threads`.
+            let refresher = self.has_adaptive().then(|| {
+                let (record, live_steps, stop) = (&record, &live_steps, &stop);
+                outer.spawn(move || {
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        loop {
+                            self.refresh_adaptive_due(live_steps.load(Ordering::Relaxed));
+                            if stop.load(Ordering::Relaxed) {
+                                break;
+                            }
+                            std::thread::park_timeout(std::time::Duration::from_millis(1));
+                        }
+                        // Chunk-end pass so a due refresh never slips
+                        // past a chunk boundary.
+                        self.refresh_adaptive_due(chunk + steps);
+                    }));
+                    if let Err(payload) = result {
+                        record(threads, panic_message(payload.as_ref()));
+                    }
+                })
+            });
+            let refresher_thread = refresher.as_ref().map(|h| h.thread().clone());
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let quota = steps / threads as u64
+                        + if (t as u64) < steps % threads as u64 { 1 } else { 0 };
+                    let seed = split_seed(base, t as u64 + 1);
+                    let (record, live_steps) = (&record, &live_steps);
+                    let refresher_thread = refresher_thread.clone();
+                    scope.spawn(move || {
+                        // Worker-lifetime span: each worker thread records
+                        // into its own ring, so worker timelines land on
+                        // separate rows of the Chrome trace.
+                        let mut worker_span = self.tracer.span("train.worker", "train");
+                        worker_span.arg("worker", t as u64);
+                        worker_span.arg("quota", quota);
+                        let mut since_bump = 0u64;
+                        // Workers share the global decay clock
+                        // approximately: worker `t` takes step indices
+                        // `chunk + t, chunk + t + threads, ...`, so the
+                        // workers jointly cover `chunk..chunk + steps` and
+                        // every index drives the learning-rate schedule
+                        // exactly once.
+                        let result = self.step_loop(
+                            seed,
+                            chunk + t as u64,
+                            threads as u64,
+                            quota,
+                            &mut NoProf,
+                            |_| {
+                                if let Some(rt) = &refresher_thread {
+                                    since_bump += 1;
+                                    if since_bump == bump {
+                                        since_bump = 0;
+                                        live_steps.fetch_add(bump, Ordering::Relaxed);
+                                        rt.unpark();
+                                    }
+                                }
+                            },
+                        );
+                        if let Err(message) = result {
+                            record(t, message);
+                        }
+                    });
+                }
+            });
+            // Workers are done: stop the refresher (it makes one final
+            // chunk-boundary pass on the way out).
+            stop.store(true, Ordering::Relaxed);
+            if let Some(rt) = &refresher_thread {
+                rt.unpark();
+            }
+        });
+        failure.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Run `steps` single-thread gradient steps with per-phase timing.
     ///
-    /// Consumes the same seed stream as a single-thread [`GemTrainer::run`]
-    /// over the same chunk, so profiling does not perturb determinism —
-    /// only wall-clock (timer reads are interleaved with the work). Always
-    /// profiles the direct (Hogwild) update path; `sharded_updates` is
-    /// ignored here.
+    /// The same chunk as a single-thread [`GemTrainer::run`] — same seed
+    /// stream, same refresh check points, same poison contract — so
+    /// profiling does not perturb determinism, only wall-clock (timer
+    /// reads are interleaved with the work).
+    ///
+    /// # Panics
+    /// Like [`GemTrainer::run`]: if the loop panicked or the trainer was
+    /// already poisoned.
     pub fn run_profiled(&self, steps: u64) -> PhaseBreakdown {
-        self.metrics.workers.set(1.0);
-        let chunk = self.steps_done.load(Ordering::Relaxed);
-        let base = split_seed(self.config.seed, 0x5EED ^ chunk);
-        let mut rng = rng_from_seed(base);
-        let mut bufs = StepBuffers::new(self.config.dim);
-        let tables = self.worker_tables();
         let mut prof = PhaseProf::new();
-        let mut tally = StepTally::default();
-        // Mirror the unprofiled single-thread run's refresh check points so
-        // profiled GEM-A consumes the identical stream.
-        let mut next_check = self.next_refresh_check_after(chunk);
-        for i in 0..steps {
-            prof.begin();
-            tally.observe(self.step_impl(
-                &mut rng,
-                &mut bufs,
-                &tables,
-                chunk + i,
-                &mut prof,
-                &mut DirectApply,
-            ));
-            if tally.steps == TALLY_FLUSH {
-                tally.flush_into(&self.metrics);
-            }
-            let global = chunk + i + 1;
-            if global >= next_check {
-                self.refresh_adaptive_due(global);
-                next_check = self.next_refresh_check_after(global);
-            }
+        if let Err(e) = self.run_chunk(steps, 1, &mut prof) {
+            panic!("training run failed: {e}");
         }
-        tally.flush_into(&self.metrics);
-        self.refresh_adaptive_due(chunk + steps);
-        self.steps_done.fetch_add(steps, Ordering::Relaxed);
         prof.breakdown.steps = steps;
         // Emit the aggregate breakdown as three synthetic back-to-back
         // spans ending now: the trace shows *where* profiled step time went
@@ -1273,9 +933,9 @@ impl<'g> GemTrainer<'g> {
         // [`GemTrainer::run_profiled`] — it consumes the identical seed
         // stream, and its synthetic `train.phase.*` spans land *inside* the
         // per-epoch span recorded below, giving the flame view run ⊃ epoch
-        // ⊃ phase. Multi-thread (and sharded) chunks keep using `run`,
-        // whose workers emit their own `train.worker` spans.
-        let profiled = self.tracer.is_enabled() && threads <= 1 && !self.config.sharded_updates;
+        // ⊃ phase. Multi-thread chunks keep using `run`, whose workers emit
+        // their own `train.worker` spans.
+        let profiled = self.tracer.is_enabled() && threads <= 1;
         let run_start = self.tracer.now_ns();
         let mut remaining = steps;
         while remaining > 0 {
@@ -1362,21 +1022,21 @@ impl<'g> GemTrainer<'g> {
     /// One SGD step (Algorithm 2 lines 3–6). `t` is the global step index
     /// used by the learning-rate schedule; `tables` is this worker's view
     /// of the shared positive-edge sampling tables. Generic over the
-    /// profiler and the update sink so [`GemTrainer::run`] (with
-    /// [`NoProf`] and [`DirectApply`]) compiles to the bare Hogwild loop
-    /// while sharded windows (with [`LogApply`]) record updates instead.
+    /// profiler so [`GemTrainer::run`] (with [`NoProf`]) compiles to the
+    /// bare Hogwild loop. Row traffic goes through the `math`/`matrix`
+    /// dispatchers, which pick SIMD or the portable loops per call from
+    /// [`crate::simd::backend`] — bit-identical either way.
     ///
     /// Returns `(graph index, positive-edge gradient coefficient)` for the
     /// metrics tally, or `None` when the step was skipped (uniform graph
     /// choice landing on an empty graph).
-    fn step_impl<P: StepProf, S: UpdateSink>(
+    fn step_impl<P: StepProf>(
         &self,
         rng: &mut SeededRng,
         bufs: &mut StepBuffers,
         tables: &WorkerTables<'_>,
         t: u64,
         prof: &mut P,
-        sink: &mut S,
     ) -> Option<(usize, f32)> {
         // Line 3: pick a graph. Uniform choice may land on an empty graph;
         // skip it (proportional choice cannot, by construction).
@@ -1407,29 +1067,10 @@ impl<'g> GemTrainer<'g> {
         let (lkind, rkind) = (graph.left_kind(), graph.right_kind());
         let (lmat, rmat) = (self.embeddings.of(lkind), self.embeddings.of(rkind));
 
-        // Positive-edge gradient coefficient: 1 - σ(vi·vj). The fast paths
-        // fuse the vj read with the dot product (one pass over the row);
-        // all three kernel routes are bit-identical (golden regression
-        // test + the SIMD equivalence proptests).
-        let g = match self.kernels {
-            KernelPath::Reference => {
-                lmat.read_row_ref(edge.left as usize, &mut bufs.vi);
-                rmat.read_row_ref(edge.right as usize, &mut bufs.vj);
-                1.0 - self.sig(dot_widened(&bufs.vi, &bufs.vj))
-            }
-            KernelPath::Widened => {
-                lmat.read_row_widened(edge.left as usize, &mut bufs.vi);
-                1.0 - self.sig(rmat.read_row_dot_widened(
-                    edge.right as usize,
-                    &bufs.vi,
-                    &mut bufs.vj,
-                ))
-            }
-            KernelPath::Auto => {
-                lmat.read_row(edge.left as usize, &mut bufs.vi);
-                1.0 - self.sig(rmat.read_row_dot(edge.right as usize, &bufs.vi, &mut bufs.vj))
-            }
-        };
+        // Positive-edge gradient coefficient: 1 - σ(vi·vj), the vj read
+        // fused with the dot product (one pass over the row).
+        lmat.read_row(edge.left as usize, &mut bufs.vi);
+        let g = 1.0 - self.sig(rmat.read_row_dot(edge.right as usize, &bufs.vi, &mut bufs.vj));
         bufs.grad_i.iter_mut().zip(&bufs.vj).for_each(|(o, &v)| *o = g * v);
         bufs.grad_j.iter_mut().zip(&bufs.vi).for_each(|(o, &v)| *o = g * v);
         prof.fetch();
@@ -1441,27 +1082,16 @@ impl<'g> GemTrainer<'g> {
         };
         let m = self.config.negatives;
 
-        let (lkid, rkid) = (kind_idx(lkind), kind_idx(rkind));
-
         // Right-side negatives (always, Eq. 3 and Eq. 4 share this term).
         for _ in 0..m {
             let k = self.draw_noise(gi, Side::Right, &bufs.vi, (edge.left, edge.right), rng);
             prof.sample();
             let Some(k) = k else { continue };
-            let s = match self.kernels {
-                KernelPath::Reference => {
-                    rmat.read_row_ref(k as usize, &mut bufs.vk);
-                    self.sig(dot_widened(&bufs.vi, &bufs.vk))
-                }
-                KernelPath::Widened => {
-                    self.sig(rmat.read_row_dot_widened(k as usize, &bufs.vi, &mut bufs.vk))
-                }
-                KernelPath::Auto => self.sig(rmat.read_row_dot(k as usize, &bufs.vi, &mut bufs.vk)),
-            };
-            self.grad_axpy(&mut bufs.grad_i, &bufs.vk, -s);
+            let s = self.sig(rmat.read_row_dot(k as usize, &bufs.vi, &mut bufs.vk));
+            axpy(&mut bufs.grad_i, &bufs.vk, -s);
             prof.fetch();
             // vk update: vk -= α σ(vi·vk) vi.
-            sink.apply(self, rkid, k as usize, &bufs.vi, -alpha * s, false);
+            self.apply(rmat, k as usize, &bufs.vi, -alpha * s, false);
             prof.update();
         }
 
@@ -1471,30 +1101,17 @@ impl<'g> GemTrainer<'g> {
                 let k = self.draw_noise(gi, Side::Left, &bufs.vj, (edge.left, edge.right), rng);
                 prof.sample();
                 let Some(k) = k else { continue };
-                let s = match self.kernels {
-                    KernelPath::Reference => {
-                        lmat.read_row_ref(k as usize, &mut bufs.vk);
-                        self.sig(dot_widened(&bufs.vk, &bufs.vj))
-                    }
-                    // dot(vk, vj) == dot(vj, vk) bitwise: IEEE-754 multiply
-                    // is commutative and the reduction shape is fixed.
-                    KernelPath::Widened => {
-                        self.sig(lmat.read_row_dot_widened(k as usize, &bufs.vj, &mut bufs.vk))
-                    }
-                    KernelPath::Auto => {
-                        self.sig(lmat.read_row_dot(k as usize, &bufs.vj, &mut bufs.vk))
-                    }
-                };
-                self.grad_axpy(&mut bufs.grad_j, &bufs.vk, -s);
+                let s = self.sig(lmat.read_row_dot(k as usize, &bufs.vj, &mut bufs.vk));
+                axpy(&mut bufs.grad_j, &bufs.vk, -s);
                 prof.fetch();
-                sink.apply(self, lkid, k as usize, &bufs.vj, -alpha * s, false);
+                self.apply(lmat, k as usize, &bufs.vj, -alpha * s, false);
                 prof.update();
             }
         }
 
         // Apply Eq. 5 to the positive pair with the rectifier projection.
-        sink.apply(self, lkid, edge.left as usize, &bufs.grad_i, alpha, true);
-        sink.apply(self, rkid, edge.right as usize, &bufs.grad_j, alpha, true);
+        self.apply(lmat, edge.left as usize, &bufs.grad_i, alpha, true);
+        self.apply(rmat, edge.right as usize, &bufs.grad_j, alpha, true);
         prof.update();
 
         // The reject test in draw_noise uses (edge.left, edge.right); the
@@ -1502,17 +1119,6 @@ impl<'g> GemTrainer<'g> {
         // simultaneous update semantics.
         let _ = edge;
         Some((gi, g))
-    }
-
-    /// Gradient-buffer axpy through this trainer's kernel route (the
-    /// reference route predates SIMD dispatch, so it pins the widened
-    /// kernel too).
-    #[inline]
-    fn grad_axpy(&self, out: &mut [f32], v: &[f32], scale: f32) {
-        match self.kernels {
-            KernelPath::Auto => axpy(out, v, scale),
-            KernelPath::Widened | KernelPath::Reference => axpy_widened(out, v, scale),
-        }
     }
 
     /// Apply one row update, rectifying per the configured policy.
@@ -1523,29 +1129,10 @@ impl<'g> GemTrainer<'g> {
             RectifyMode::PositivesOnly => positive,
             RectifyMode::Off => false,
         };
-        match (project, self.kernels) {
-            (true, KernelPath::Auto) => m.add_scaled_relu(row, delta, scale),
-            (false, KernelPath::Auto) => m.add_scaled(row, delta, scale),
-            (true, KernelPath::Widened) => m.add_scaled_relu_widened(row, delta, scale),
-            (false, KernelPath::Widened) => m.add_scaled_widened(row, delta, scale),
-            (true, KernelPath::Reference) => m.add_scaled_relu_ref(row, delta, scale),
-            (false, KernelPath::Reference) => m.add_scaled_ref(row, delta, scale),
-        }
-    }
-
-    /// Apply one logged (prescaled) sharded update through this trainer's
-    /// kernel route. Scale 1.0 adds the stored value exactly (`1.0 * p ==
-    /// p` bitwise for every f32).
-    #[inline]
-    fn apply_logged(&self, kind: usize, row: usize, delta: &[f32], relu: bool) {
-        let m = &self.embeddings.matrices[kind];
-        match (relu, self.kernels) {
-            (true, KernelPath::Auto) => m.add_scaled_relu(row, delta, 1.0),
-            (false, KernelPath::Auto) => m.add_scaled(row, delta, 1.0),
-            (true, KernelPath::Widened) => m.add_scaled_relu_widened(row, delta, 1.0),
-            (false, KernelPath::Widened) => m.add_scaled_widened(row, delta, 1.0),
-            (true, KernelPath::Reference) => m.add_scaled_relu_ref(row, delta, 1.0),
-            (false, KernelPath::Reference) => m.add_scaled_ref(row, delta, 1.0),
+        if project {
+            m.add_scaled_relu(row, delta, scale)
+        } else {
+            m.add_scaled(row, delta, scale)
         }
     }
 
@@ -1908,26 +1495,6 @@ mod tests {
             breakdown.sample_ns + breakdown.fetch_ns + breakdown.update_ns
         );
         assert_eq!(t2.progress().steps, 5_000);
-    }
-
-    #[test]
-    fn reference_and_fast_kernel_paths_are_bit_identical() {
-        // The scalar reference kernels and the unrolled/fused default path
-        // must produce the same model bit-for-bit in a single-thread run
-        // (LUT off so the sigmoid evaluator is identical too). The broader
-        // cross-config golden hash lives in tests/golden_singlethread.rs.
-        let (_, _, graphs) = small_graphs();
-        let mut fast = TrainConfig::gem_p(7);
-        fast.sigmoid_lut = false;
-        let mut reference = fast.clone();
-        reference.reference_kernels = true;
-        let t1 = GemTrainer::new(&graphs, fast).unwrap();
-        t1.run(5_000, 1);
-        let t2 = GemTrainer::new(&graphs, reference).unwrap();
-        t2.run(5_000, 1);
-        assert_eq!(t1.model().users, t2.model().users);
-        assert_eq!(t1.model().events, t2.model().events);
-        assert_eq!(t1.model().words, t2.model().words);
     }
 
     #[test]

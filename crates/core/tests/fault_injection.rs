@@ -13,6 +13,7 @@ use gem_core::{
 use gem_ebsn::{ChronoSplit, GraphBuildConfig, SplitRatios, SynthConfig, TrainingGraphs};
 use gem_obs::faults;
 use gem_obs::FaultMode;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
@@ -204,6 +205,40 @@ fn worker_panic_is_contained_and_training_resumes_from_checkpoint() {
     assert_eq!(restored.users, before.users, "restore did not rewind the matrices");
     trainer.try_run(1_000, 2).expect("training resumes after restore");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `run_profiled` is the chunk runner of every traced single-thread
+/// journaled run, so it must obey the same poison contract as `run`: a
+/// panic inside it poisons the trainer without advancing the step counter,
+/// and a poisoned trainer refuses to profile until restored.
+#[test]
+fn run_profiled_obeys_the_poison_contract() {
+    let _g = FaultGuard::acquire();
+    let graphs = tiny_graphs();
+    let trainer = GemTrainer::new(&graphs, small_config()).unwrap();
+    trainer.run(1_000, 1);
+    let clean = trainer.checkpoint();
+
+    let panic_text = |steps: u64| {
+        let unwound = catch_unwind(AssertUnwindSafe(|| trainer.run_profiled(steps)));
+        let payload = unwound.expect_err("run_profiled must panic");
+        payload.downcast_ref::<String>().cloned().expect("formatted panic message")
+    };
+    faults::arm("train.worker_panic", FaultMode::Times(1));
+    // Past the first 4096-step tally flush, where the fail point is checked.
+    let message = panic_text(10_000);
+    assert!(message.contains("injected fault"), "panic message lost: {message}");
+    assert_eq!(trainer.progress().steps, 1_000, "a failed chunk must not advance the counter");
+    assert!(matches!(trainer.try_run(100, 1), Err(TrainError::Poisoned)));
+
+    // Poisoned: refuses with the same message as `run`, still no progress.
+    let message = panic_text(100);
+    assert_eq!(message, format!("training run failed: {}", TrainError::Poisoned));
+    assert_eq!(trainer.progress().steps, 1_000);
+
+    trainer.resume_from(&clean).unwrap();
+    assert_eq!(trainer.run_profiled(2_000).steps, 2_000);
+    assert_eq!(trainer.progress().steps, 3_000);
 }
 
 #[test]

@@ -1,18 +1,19 @@
 //! Golden regression for the single-thread training stream.
 //!
-//! The kernel widening (unrolled `AtomicMatrix` row ops, fused
-//! `read_row_dot`) must not change *what* single-thread training computes,
-//! only how fast. Two locks hold that in place:
+//! Which kernels run (explicit SIMD or the portable widened loops) must not
+//! change *what* single-thread training computes, only how fast. Two locks
+//! hold that in place:
 //!
-//! 1. the default kernels and the scalar `*_ref` reference kernels produce
-//!    bit-identical models from the same seed (LUT off, so the sigmoid
-//!    evaluator is identical too);
-//! 2. the resulting model hashes to a hardcoded FNV-1a value, so *any*
-//!    future change to the single-thread stream — kernels, sampling order,
-//!    RNG plumbing — trips this test and must be a deliberate decision.
+//! 1. the model hashes to a hardcoded FNV-1a value, so *any* change to the
+//!    single-thread stream — kernels, sampling order, RNG plumbing — trips
+//!    this test and must be a deliberate decision;
+//! 2. a child process re-runs lock 1 with `GEM_NO_SIMD=1`, so one
+//!    `cargo test` on an AVX2/NEON host pins the SIMD route *and* the
+//!    portable route to the same hash.
 
 use gem_core::{GemTrainer, TrainConfig};
 use gem_ebsn::{ChronoSplit, GraphBuildConfig, SplitRatios, SynthConfig, TrainingGraphs};
+use std::process::Command;
 
 /// FNV-1a over the f32 bit patterns of every embedding table.
 fn model_hash(m: &gem_core::GemModel) -> u64 {
@@ -52,36 +53,14 @@ const GOLDEN_STEPS: u64 = 20_000;
 /// printed value and update this constant *in the same commit*, saying why.
 const GOLDEN_HASH: u64 = 0xefda_8764_c84c_43bb;
 
-/// The pinned hash for the sharded (HogBatch-style) update path. The
-/// sharded stream is *intentionally different* from the Hogwild stream —
-/// per-step RNG derivation and window-stale reads — so it gets its own
-/// golden constant. Unlike `GOLDEN_HASH`, this value must hold for every
-/// thread count (see `tests/sharded_determinism.rs`).
-const SHARDED_GOLDEN_HASH: u64 = 0xb862_d827_26c4_3305;
-
 #[test]
-fn kernel_paths_are_bit_identical_and_match_golden_hash() {
+fn single_thread_stream_matches_golden_hash() {
+    // Read back by `portable_kernel_route_matches_golden_hash`.
+    println!("BACKEND:{}", gem_core::simd::backend().name());
     let graphs = tiny_graphs();
-
-    let fast = GemTrainer::new(&graphs, golden_config()).unwrap();
-    fast.run(GOLDEN_STEPS, 1);
-    let fast_model = fast.model();
-
-    let mut ref_cfg = golden_config();
-    ref_cfg.reference_kernels = true;
-    let reference = GemTrainer::new(&graphs, ref_cfg).unwrap();
-    reference.run(GOLDEN_STEPS, 1);
-    let ref_model = reference.model();
-
-    // Lock 1: unrolled/fused kernels ≡ scalar reference, bit for bit.
-    assert_eq!(fast_model.users, ref_model.users);
-    assert_eq!(fast_model.events, ref_model.events);
-    assert_eq!(fast_model.regions, ref_model.regions);
-    assert_eq!(fast_model.time_slots, ref_model.time_slots);
-    assert_eq!(fast_model.words, ref_model.words);
-
-    // Lock 2: the stream itself is frozen.
-    let h = model_hash(&fast_model);
+    let trainer = GemTrainer::new(&graphs, golden_config()).unwrap();
+    trainer.run(GOLDEN_STEPS, 1);
+    let h = model_hash(&trainer.model());
     assert_eq!(
         h, GOLDEN_HASH,
         "single-thread training stream changed: hash {h:#018x} (expected {GOLDEN_HASH:#018x}). \
@@ -89,35 +68,25 @@ fn kernel_paths_are_bit_identical_and_match_golden_hash() {
     );
 }
 
-/// The sharded-update path is frozen by its own golden hash. Window seeds
-/// derive from the *global* step index `(steps_done + window_start)`, so a
-/// run split into chunks at window-boundary multiples (4096 steps)
-/// reproduces the exact full-run window sequence — checkpoint/resume at
-/// those boundaries is invisible to the sharded stream.
+/// The portable widened kernels — what non-AVX2/non-NEON hosts and
+/// `GEM_NO_SIMD` run — must land on the same golden hash as the SIMD route.
+/// The backend is detected once per process, so the portable run is a child
+/// (same re-exec pattern as `trace_noninterference.rs`).
 #[test]
-fn sharded_path_matches_its_own_golden_hash() {
-    let graphs = tiny_graphs();
-    let mut cfg = golden_config();
-    cfg.sharded_updates = true;
-
-    let trainer = GemTrainer::new(&graphs, cfg.clone()).unwrap();
-    trainer.run(GOLDEN_STEPS, 1);
-    let h = model_hash(&trainer.model());
-    assert_eq!(
-        h, SHARDED_GOLDEN_HASH,
-        "sharded training stream changed: hash {h:#018x} (expected {SHARDED_GOLDEN_HASH:#018x}). \
-         If this is intentional, update SHARDED_GOLDEN_HASH and explain why in the commit."
+fn portable_kernel_route_matches_golden_hash() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = Command::new(exe)
+        .args(["single_thread_stream_matches_golden_hash", "--exact", "--nocapture"])
+        .env("GEM_NO_SIMD", "1")
+        .output()
+        .expect("spawn child test");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "golden hash diverged on the portable kernel route:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
     );
-
-    let window_aligned = 2 * 4096;
-    let chunked = GemTrainer::new(&graphs, cfg).unwrap();
-    chunked.run(window_aligned, 1);
-    chunked.run(GOLDEN_STEPS - window_aligned, 1);
-    assert_eq!(
-        model_hash(&chunked.model()),
-        SHARDED_GOLDEN_HASH,
-        "window-aligned chunked sharded run diverged from the single-run stream"
-    );
+    assert!(stdout.contains("BACKEND:scalar"), "child did not run the portable route:\n{stdout}");
 }
 
 /// Checkpointing must be invisible to the training stream: a

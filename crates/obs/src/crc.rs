@@ -1,13 +1,13 @@
 //! CRC-32 (ISO-HDLC / zlib polynomial) for on-disk integrity checks.
 //!
-//! The persist and checkpoint formats append a CRC-32 trailer so a torn
-//! write (`kill -9` mid-`write`, a short write on a full disk) or a
-//! bit-flip is detected at load time instead of silently producing a
-//! garbage model. The workspace is offline-only, so this is the standard
-//! table-driven implementation rather than a crates.io dependency; the
-//! test below pins the well-known check value (`crc32("123456789") ==
-//! 0xCBF4_3926`) so the polynomial and bit order can never silently drift
-//! from what every external `crc32` tool computes.
+//! The persist, checkpoint, trace-stream and churn-WAL formats frame their
+//! bytes with a CRC-32 so a torn write (`kill -9` mid-`write`, a short
+//! write on a full disk) or a bit-flip is detected at load time instead of
+//! silently producing garbage. The workspace is offline-only, so this is
+//! the standard table-driven implementation rather than a crates.io
+//! dependency; the test below pins the well-known check value
+//! (`crc32("123456789") == 0xCBF4_3926`) so the polynomial and bit order
+//! can never silently drift from what every external `crc32` tool computes.
 
 /// Reflected polynomial for CRC-32/ISO-HDLC (the zlib/PNG/Ethernet CRC).
 const POLY: u32 = 0xEDB8_8320;
@@ -80,6 +80,7 @@ mod tests {
     fn matches_the_standard_check_value() {
         // The canonical CRC-32/ISO-HDLC check vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]

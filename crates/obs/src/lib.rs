@@ -53,6 +53,7 @@
 
 #![warn(missing_docs)]
 
+pub mod crc;
 mod export;
 pub mod faults;
 pub mod histogram;

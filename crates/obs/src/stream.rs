@@ -50,6 +50,7 @@
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
+use crate::crc::crc32;
 use crate::trace::{render_chrome, ChromeRow, SpanEvent, TraceSink, Tracer};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -512,26 +513,6 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
-/// CRC32 (IEEE 802.3, reflected, poly `0xEDB88320`) — the standard
-/// `crc32` every trace-inspection tool can verify.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        std::array::from_fn(|i| {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            c
-        })
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,14 +632,6 @@ mod tests {
         let err = TraceStreamWriter::create(&path, 64).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vectors (RFC 3720 appendix style).
-        assert_eq!(crc32(b""), 0);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
     }
 
     #[test]

@@ -44,8 +44,8 @@
 //! `sync_data`) inject `io::Error` when armed — the soak drill arms them
 //! over HTTP-visible churn to prove a failed append is *not* acknowledged.
 
-use gem_core::crc::crc32;
 use gem_ebsn::EventId;
+use gem_obs::crc::crc32;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
