@@ -51,7 +51,6 @@ pub fn bucket_bounds(i: usize) -> (u64, u64) {
 #[derive(Debug)]
 pub(crate) struct HistogramCore {
     buckets: Box<[AtomicU64; NUM_BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -67,7 +66,6 @@ impl HistogramCore {
                 .into_boxed_slice()
                 .try_into()
                 .expect("NUM_BUCKETS entries"),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -75,11 +73,20 @@ impl HistogramCore {
     }
 
     fn record(&self, v: u64) {
+        // Two read-modify-writes per record: the sample count is the sum
+        // of the buckets, taken at snapshot time.
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The extremes settle after a few samples; from then on a plain
+        // load replaces two read-modify-writes per record. Skipping is safe
+        // because `min` only falls and `max` only rises: a sample that does
+        // not beat the value just read cannot beat a later one either.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
@@ -90,7 +97,7 @@ impl HistogramCore {
                 buckets.push((i as u32, c));
             }
         }
-        let count = self.count.load(Ordering::Relaxed);
+        let count = buckets.iter().map(|&(_, c)| c).sum();
         HistogramSnapshot {
             count,
             sum: self.sum.load(Ordering::Relaxed),

@@ -154,10 +154,11 @@ pub struct BuildReport {
 /// * candidate list: `pairs` × 8 (two u32 ids) — exact;
 /// * transformed space: `pairs` × ((2·dim+1)·4 + 8) (point + pair id) —
 ///   exact;
-/// * TA index: `pairs` × 20 (five u32-per-pair arrays) plus group
-///   book-keeping bounded by `min(pairs, events)` event groups and
-///   `min(pairs, partners)` partner groups — an upper bound, since distinct
-///   groups can collapse.
+/// * TA index: `pairs` × 20 (five u32-per-pair arrays) plus, per group, one
+///   CSR offset and one `dim`-float row of the group-vector matrix the
+///   query computes its keys from — with at most `min(pairs, events)`
+///   event groups and `min(pairs, partners)` partner groups, an upper
+///   bound, since distinct groups can collapse.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Projection {
     /// Bytes of the candidate-pair list.
@@ -178,7 +179,8 @@ impl Projection {
             space_bytes: pairs.saturating_mul((2 * dim + 1) * 4 + 8),
             index_bytes: pairs
                 .saturating_mul(20)
-                .saturating_add((2 * event_groups + 2 * partner_groups + 2) * 4),
+                .saturating_add((event_groups + partner_groups + 2) * 4)
+                .saturating_add((event_groups + partner_groups).saturating_mul(dim * 4)),
         }
     }
 
@@ -253,5 +255,57 @@ mod tests {
         let err = BuildError::BudgetExceeded { phase: "index", needed_bytes: 9, limit_bytes: 5 };
         let msg = err.to_string();
         assert!(msg.contains("index") && msg.contains('9') && msg.contains('5'), "{msg}");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::{EngineMetrics, RecommendationEngine, ServeTracing};
+    use gem_core::GemModel;
+    use gem_ebsn::{EventId, UserId};
+    use proptest::prelude::*;
+    use rand::RngExt;
+
+    proptest! {
+        /// The projection is what admits a build, so it must never
+        /// under-count one: every component of a real build's report stays
+        /// at or under its projected bytes, for any pool shape — including
+        /// partner pools that repeat a user and `k` past the event count.
+        #[test]
+        fn projection_bounds_a_real_build(
+            dim in 1usize..9,
+            np in 1usize..40,
+            nx in 1usize..20,
+            k in 0usize..24,
+            repeat in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = gem_sampling::rng_from_seed(seed);
+            let users: Vec<f32> = (0..np * dim).map(|_| rng.random::<f32>() - 0.3).collect();
+            let events: Vec<f32> = (0..nx * dim).map(|_| rng.random::<f32>() - 0.3).collect();
+            let model = GemModel::from_raw(dim, users, events, vec![], vec![], vec![]);
+            let mut partners: Vec<UserId> = (0..np as u32).map(UserId).collect();
+            partners.extend((0..repeat.min(np) as u32).map(UserId));
+            let event_ids: Vec<EventId> = (0..nx as u32).map(EventId).collect();
+            let (_, report) = RecommendationEngine::build_within_budget(
+                model,
+                &partners,
+                &event_ids,
+                k,
+                MemBudget::fail_at_mib(64),
+                EngineMetrics::disabled(),
+                ServeTracing::disabled(),
+            )
+            .expect("a 64 MiB ceiling admits every pool this test draws");
+            let projected = Projection::new(partners.len(), nx, dim, k);
+            prop_assert!(report.candidate_bytes <= projected.candidate_bytes);
+            prop_assert!(report.space_bytes <= projected.space_bytes);
+            prop_assert!(
+                report.index_bytes <= projected.index_bytes,
+                "index {} > projected {}", report.index_bytes, projected.index_bytes
+            );
+            prop_assert!(report.total_bytes <= projected.total());
+        }
     }
 }

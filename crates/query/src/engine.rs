@@ -484,12 +484,13 @@ impl RecommendationEngine {
             let elapsed = t0.elapsed();
             if self.metrics.enabled {
                 match method {
-                    Method::Ta => self.metrics.query_ns_ta.record_duration(elapsed),
+                    Method::Ta => {
+                        self.metrics.query_ns_ta.record_duration(elapsed);
+                        self.metrics.record_ta_work(&stats);
+                    }
                     Method::BruteForce => self.metrics.query_ns_bf.record_duration(elapsed),
                 }
                 self.metrics.queries.inc();
-                self.metrics.ta_scored.add(stats.scored as u64);
-                self.metrics.ta_sorted_accesses.add(stats.sorted_accesses as u64);
             }
             if traced {
                 let ns = elapsed.as_nanos() as u64;
@@ -570,8 +571,7 @@ impl RecommendationEngine {
             if completion == TaCompletion::Degraded {
                 self.metrics.degraded.inc();
             }
-            self.metrics.ta_scored.add(stats.scored as u64);
-            self.metrics.ta_sorted_accesses.add(stats.sorted_accesses as u64);
+            self.metrics.record_ta_work(&stats);
         }
         let recommendations = results
             .into_iter()
@@ -746,6 +746,9 @@ mod tests {
         assert_eq!(snap.counter("serve.queries"), 2);
         assert_eq!(snap.histogram("serve.query_ns.ta").unwrap().count, 2);
         assert!(snap.counter("serve.ta_scored") > 0);
+        // One sample per answered TA query; rejected users record none.
+        assert_eq!(snap.histogram("serve.ta_scored_per_query").unwrap().count, 2);
+        assert_eq!(snap.histogram("serve.ta_sorted_accesses_per_query").unwrap().count, 2);
         assert!(snap.gauge("build.candidate_pairs") > 0.0);
     }
 

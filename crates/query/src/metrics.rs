@@ -4,6 +4,7 @@
 //! touches relaxed atomics (and one `Instant` pair when enabled), never the
 //! registry lock — see DESIGN.md §Observability for the overhead budget.
 
+use crate::ta::TaStats;
 use gem_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// Metric handles used by [`crate::RecommendationEngine`].
@@ -25,6 +26,12 @@ pub struct EngineMetrics {
     pub(crate) ta_scored: Counter,
     /// `serve.ta_sorted_accesses` — total TA sorted-access pops.
     pub(crate) ta_sorted_accesses: Counter,
+    /// `serve.ta_scored_per_query` — random accesses of each TA query: the
+    /// distribution behind the `serve.ta_scored` total.
+    pub(crate) ta_scored_per_query: Histogram,
+    /// `serve.ta_sorted_accesses_per_query` — sorted-access pops of each TA
+    /// query.
+    pub(crate) ta_sorted_accesses_per_query: Histogram,
     /// `serve.invalid_users` — queries skipped for an out-of-range user.
     pub(crate) invalid_users: Counter,
     /// `serve.deadline_queries` — queries served with a time budget.
@@ -77,6 +84,8 @@ impl EngineMetrics {
             query_ns_bf: registry.histogram("serve.query_ns.bf"),
             ta_scored: registry.counter("serve.ta_scored"),
             ta_sorted_accesses: registry.counter("serve.ta_sorted_accesses"),
+            ta_scored_per_query: registry.histogram("serve.ta_scored_per_query"),
+            ta_sorted_accesses_per_query: registry.histogram("serve.ta_sorted_accesses_per_query"),
             invalid_users: registry.counter("serve.invalid_users"),
             deadline_queries: registry.counter("serve.deadline_queries"),
             degraded: registry.counter("serve.degraded"),
@@ -106,6 +115,8 @@ impl EngineMetrics {
             query_ns_bf: Histogram::disabled(),
             ta_scored: Counter::disabled(),
             ta_sorted_accesses: Counter::disabled(),
+            ta_scored_per_query: Histogram::disabled(),
+            ta_sorted_accesses_per_query: Histogram::disabled(),
             invalid_users: Counter::disabled(),
             deadline_queries: Counter::disabled(),
             degraded: Counter::disabled(),
@@ -129,6 +140,15 @@ impl EngineMetrics {
     /// True when handles record somewhere.
     pub fn is_enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Record one TA query's work: the running totals and the per-query
+    /// histograms beside them.
+    pub(crate) fn record_ta_work(&self, stats: &TaStats) {
+        self.ta_scored.add(stats.scored as u64);
+        self.ta_sorted_accesses.add(stats.sorted_accesses as u64);
+        self.ta_scored_per_query.record(stats.scored as u64);
+        self.ta_sorted_accesses_per_query.record(stats.sorted_accesses as u64);
     }
 }
 
@@ -159,6 +179,8 @@ mod tests {
             "serve.query_ns.bf",
             "serve.ta_scored",
             "serve.ta_sorted_accesses",
+            "serve.ta_scored_per_query",
+            "serve.ta_sorted_accesses_per_query",
             "serve.invalid_users",
             "serve.deadline_queries",
             "serve.degraded",

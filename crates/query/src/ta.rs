@@ -14,9 +14,9 @@
 //! (the same structure as the LCARS TA the paper adopts, its ref. \[32\]):
 //!
 //! * the A-list: candidate pairs grouped by event, groups in descending
-//!   `A(x)` (computed per query in `O(|X|·K)`),
+//!   `A(x)` (keys computed per query in `O(|X|·K)`),
 //! * the B-list: pairs grouped by partner, descending `B(u')`
-//!   (`O(|U|·K)` per query),
+//!   (keys in `O(|U|·K)` per query),
 //! * the C-list: pairs in descending interaction value (offline).
 //!
 //! Each round pops one pair from each list (sorted access), scores new
@@ -36,14 +36,35 @@
 //! The group structure is stored in CSR form (one flat member array plus a
 //! `groups+1` offset array per axis) so that a query never copies it: the
 //! per-query [`GroupCursor`]s *borrow* the index. All per-query working
-//! memory — composite keys, group orderings, the visited set, the top-n
+//! memory — composite keys, group heaps, the visited set, the top-n
 //! heap — lives in a caller-owned [`TaScratch`] that [`TaIndex::top_n_with`]
 //! reuses across calls, so a serving thread allocates only the final result
 //! vector once warmed up. The visited set is epoch-stamped: clearing it
 //! between queries is a counter bump, not an `O(pairs)` memset.
+//!
+//! A query scores a sliver of the pairs (Table VI), so what it pays is the
+//! prologue that runs before the first round, and the layout is chosen to
+//! keep that small:
+//!
+//! * **Keys from two contiguous matrices in one batched pass each.** The
+//!   build copies every group's vector once into a row-major
+//!   `groups × K` matrix per axis; the query fills the A and B keys with
+//!   two [`dot_batch`] calls over them instead of one scattered
+//!   `2K+1`-strided read per group. `dot_batch` runs the same per-row
+//!   kernel as `dot`, so keys and scores are bit-identical to the
+//!   row-at-a-time form on every SIMD backend.
+//! * **Groups ordered lazily.** The search opens a handful of groups per
+//!   list, so the keys are heapified (`O(groups)`) rather than sorted, and
+//!   a group costs `O(log groups)` only when the cursor actually moves past
+//!   it. The heap order is total (`total_cmp` key, then ascending group
+//!   id), so it is the sequence a full sort would produce.
+//!
+//! Fixed cost per query: `O(groups·K + groups)`, plus `O(log groups)` per
+//! group actually opened. The worst case — `n ≥ pairs`, every group opened —
+//! is a heap sort, a constant factor slower than the single sort it replaces.
 
 use crate::transform::TransformedSpace;
-use gem_core::math::dot;
+use gem_core::math::dot_batch;
 use gem_ebsn::{EventId, UserId};
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -60,14 +81,14 @@ pub struct TaIndex {
     /// Pair indices grouped by event (flat; group `g` spans
     /// `event_offsets[g]..event_offsets[g+1]`).
     event_members: Vec<u32>,
-    /// Representative pair index per event group (for the event vector).
-    event_rep: Vec<u32>,
+    /// Event vector of each event group, row-major `groups × K`.
+    event_vecs: Vec<f32>,
     /// CSR offsets into `partner_members`, one per distinct partner + 1.
     partner_offsets: Vec<u32>,
     /// Pair indices grouped by partner (flat).
     partner_members: Vec<u32>,
-    /// Representative pair index per partner group.
-    partner_rep: Vec<u32>,
+    /// Partner vector of each partner group, row-major `groups × K`.
+    partner_vecs: Vec<f32>,
     /// All pair indices sorted by descending interaction value `u'ᵀx`.
     by_interaction: Vec<u32>,
     /// Event group id of each pair (for O(1) random access).
@@ -100,6 +121,21 @@ pub enum TaCompletion {
     Degraded,
 }
 
+/// What the shared TA core knows when it stops. The public entry points
+/// hand out everything but the cutoff; [`crate::EngineSnapshot`] needs that
+/// too, to hold its delta overlay to the same verified-prefix contract.
+pub(crate) struct TaSearch {
+    /// Results in descending score order.
+    pub(crate) results: Vec<(f32, UserId, EventId)>,
+    pub(crate) stats: TaStats,
+    pub(crate) completion: TaCompletion,
+    /// Under [`TaCompletion::Degraded`], the final threshold: an upper
+    /// bound on the score of every pair the search did not finish examining
+    /// (`+∞` when the deadline had expired before any key was computed).
+    /// `-∞` under [`TaCompletion::Exact`].
+    pub(crate) cutoff: f32,
+}
+
 /// Reusable per-query working memory for [`TaIndex::top_n_with`].
 ///
 /// One instance per serving thread; reusing it across queries removes all
@@ -110,10 +146,10 @@ pub struct TaScratch {
     a_keys: Vec<f32>,
     /// Composite key `B(u') = u·u'` per partner group.
     b_keys: Vec<f32>,
-    /// Event groups ordered by descending `A`.
-    a_order: Vec<u32>,
-    /// Partner groups ordered by descending `B`.
-    b_order: Vec<u32>,
+    /// Event groups not yet exhausted, best `A` on top.
+    a_groups: BinaryHeap<GroupKey>,
+    /// Partner groups not yet exhausted, best `B` on top.
+    b_groups: BinaryHeap<GroupKey>,
     /// Epoch stamps: pair `i` was visited this query iff `seen[i] == epoch`.
     seen: Vec<u32>,
     /// Current query epoch.
@@ -153,36 +189,65 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// A group and its per-query key, ordered for a max-heap: greater key
+/// first (`total_cmp`, so NaN keys order deterministically), ties by
+/// ascending group id. No two entries compare equal, so draining a heap of
+/// them yields one fixed sequence — the one a descending sort would.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct GroupKey {
+    key: f32,
+    gid: u32,
+}
+
+impl Eq for GroupKey {}
+
+impl Ord for GroupKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key.total_cmp(&other.key).then(other.gid.cmp(&self.gid))
+    }
+}
+
+impl PartialOrd for GroupKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Rebuild `groups` over `keys` in `O(keys)`, reusing its allocation.
+fn heapify_groups(groups: &mut BinaryHeap<GroupKey>, keys: &[f32]) {
+    let mut entries = std::mem::take(groups).into_vec();
+    entries.clear();
+    entries.extend(keys.iter().enumerate().map(|(gid, &key)| GroupKey { key, gid: gid as u32 }));
+    *groups = BinaryHeap::from(entries);
+}
+
 /// Cursor descending through CSR groups by a per-group key; borrows both
-/// the index and the scratch-held ordering — no per-query copies.
+/// the index and the scratch-held group heap — no per-query copies. The
+/// group being consumed stays on top of the heap until [`Self::pop`] finds
+/// it exhausted, so [`Self::bound`] lags exactly one `pop` behind the last
+/// member of a group.
 struct GroupCursor<'a> {
-    /// Group indices by descending key (from [`TaScratch`]).
-    order: &'a [u32],
-    keys: &'a [f32],
+    /// Unexhausted groups, best key on top (from [`TaScratch`]).
+    groups: &'a mut BinaryHeap<GroupKey>,
     offsets: &'a [u32],
     members: &'a [u32],
-    group_pos: usize,
     within_pos: usize,
 }
 
 impl<'a> GroupCursor<'a> {
-    fn new(order: &'a [u32], keys: &'a [f32], offsets: &'a [u32], members: &'a [u32]) -> Self {
-        Self { order, keys, offsets, members, group_pos: 0, within_pos: 0 }
+    fn new(groups: &'a mut BinaryHeap<GroupKey>, offsets: &'a [u32], members: &'a [u32]) -> Self {
+        Self { groups, offsets, members, within_pos: 0 }
     }
 
     /// Current upper bound: the key of the group being consumed.
     fn bound(&self) -> f32 {
-        if self.group_pos < self.order.len() {
-            self.keys[self.order[self.group_pos] as usize]
-        } else {
-            f32::NEG_INFINITY
-        }
+        self.groups.peek().map_or(f32::NEG_INFINITY, |g| g.key)
     }
 
     /// Pop the next pair index, descending through groups.
     fn pop(&mut self) -> Option<u32> {
-        while self.group_pos < self.order.len() {
-            let g = self.order[self.group_pos] as usize;
+        while let Some(top) = self.groups.peek() {
+            let g = top.gid as usize;
             let start = self.offsets[g] as usize;
             let end = self.offsets[g + 1] as usize;
             if start + self.within_pos < end {
@@ -190,30 +255,23 @@ impl<'a> GroupCursor<'a> {
                 self.within_pos += 1;
                 return Some(idx);
             }
-            self.group_pos += 1;
+            self.groups.pop();
             self.within_pos = 0;
         }
         None
     }
 }
 
-/// Fill `order` with `0..keys.len()` sorted by descending key (ties by
-/// ascending index; NaN keys order via `total_cmp` — deterministic).
-fn fill_order(order: &mut Vec<u32>, keys: &[f32]) {
-    order.clear();
-    order.extend(0..keys.len() as u32);
-    order.sort_unstable_by(|&a, &b| keys[b as usize].total_cmp(&keys[a as usize]).then(a.cmp(&b)));
-}
-
-/// First-seen-order group assignment plus CSR membership tables for both
-/// axes. Sequential by construction (group ids depend on scan order).
+/// First-seen-order group assignment, CSR membership tables and the
+/// per-group vector matrices for both axes. Sequential by construction
+/// (group ids depend on scan order).
 struct GroupTables {
     event_offsets: Vec<u32>,
     event_members: Vec<u32>,
-    event_rep: Vec<u32>,
+    event_vecs: Vec<f32>,
     partner_offsets: Vec<u32>,
     partner_members: Vec<u32>,
-    partner_rep: Vec<u32>,
+    partner_vecs: Vec<f32>,
     event_gid: Vec<u32>,
     partner_gid: Vec<u32>,
 }
@@ -239,34 +297,36 @@ fn csr_from_gids(gids: &[u32], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
 
 fn build_group_tables(space: &TransformedSpace) -> GroupTables {
     let n = space.len();
-    let mut event_rep = Vec::new();
-    let mut partner_rep = Vec::new();
+    let k = space.k();
+    let mut event_vecs = Vec::new();
+    let mut partner_vecs = Vec::new();
     let mut event_slot: HashMap<EventId, u32> = HashMap::new();
     let mut partner_slot: HashMap<UserId, u32> = HashMap::new();
     let mut event_gid = vec![0u32; n];
     let mut partner_gid = vec![0u32; n];
     for i in 0..n {
         let (partner, event) = space.pair(i);
-        let eg = *event_slot.entry(event).or_insert_with(|| {
-            event_rep.push(i as u32);
-            (event_rep.len() - 1) as u32
+        let point = space.point(i);
+        let next = event_slot.len() as u32;
+        event_gid[i] = *event_slot.entry(event).or_insert_with(|| {
+            event_vecs.extend_from_slice(&point[0..k]);
+            next
         });
-        event_gid[i] = eg;
-        let pg = *partner_slot.entry(partner).or_insert_with(|| {
-            partner_rep.push(i as u32);
-            (partner_rep.len() - 1) as u32
+        let next = partner_slot.len() as u32;
+        partner_gid[i] = *partner_slot.entry(partner).or_insert_with(|| {
+            partner_vecs.extend_from_slice(&point[k..2 * k]);
+            next
         });
-        partner_gid[i] = pg;
     }
-    let (event_offsets, event_members) = csr_from_gids(&event_gid, event_rep.len());
-    let (partner_offsets, partner_members) = csr_from_gids(&partner_gid, partner_rep.len());
+    let (event_offsets, event_members) = csr_from_gids(&event_gid, event_slot.len());
+    let (partner_offsets, partner_members) = csr_from_gids(&partner_gid, partner_slot.len());
     GroupTables {
         event_offsets,
         event_members,
-        event_rep,
+        event_vecs,
         partner_offsets,
         partner_members,
-        partner_rep,
+        partner_vecs,
         event_gid,
         partner_gid,
     }
@@ -288,15 +348,16 @@ fn interaction_order(space: &TransformedSpace) -> Vec<u32> {
 }
 
 impl TaIndex {
-    /// Approximate resident bytes of the index arrays (all are `u32`).
-    /// Input to the [`crate::MemBudget`] accounting of a budgeted build.
+    /// Approximate resident bytes of the index arrays (`u32` tables plus
+    /// the two `f32` group matrices). Input to the [`crate::MemBudget`]
+    /// accounting of a budgeted build.
     pub fn bytes(&self) -> usize {
         (self.event_offsets.len()
             + self.event_members.len()
-            + self.event_rep.len()
+            + self.event_vecs.len()
             + self.partner_offsets.len()
             + self.partner_members.len()
-            + self.partner_rep.len()
+            + self.partner_vecs.len()
             + self.by_interaction.len()
             + self.event_gid.len()
             + self.partner_gid.len())
@@ -316,10 +377,10 @@ impl TaIndex {
         Self {
             event_offsets: groups.event_offsets,
             event_members: groups.event_members,
-            event_rep: groups.event_rep,
+            event_vecs: groups.event_vecs,
             partner_offsets: groups.partner_offsets,
             partner_members: groups.partner_members,
-            partner_rep: groups.partner_rep,
+            partner_vecs: groups.partner_vecs,
             by_interaction,
             event_gid: groups.event_gid,
             partner_gid: groups.partner_gid,
@@ -329,12 +390,12 @@ impl TaIndex {
 
     /// Number of distinct candidate events.
     pub fn num_events(&self) -> usize {
-        self.event_rep.len()
+        self.event_offsets.len() - 1
     }
 
     /// Number of distinct candidate partners.
     pub fn num_partners(&self) -> usize {
-        self.partner_rep.len()
+        self.partner_offsets.len() - 1
     }
 
     /// Exact top-`n` pairs for query `q = (u, u, 1)`, skipping pairs
@@ -365,8 +426,8 @@ impl TaIndex {
         filter: impl FnMut(UserId, EventId) -> bool,
         scratch: &mut TaScratch,
     ) -> (Vec<(f32, UserId, EventId)>, TaStats) {
-        let (results, stats, _) = self.search(space, q, n, filter, scratch, None);
-        (results, stats)
+        let found = self.search(space, q, n, filter, scratch, None);
+        (found.results, found.stats)
     }
 
     /// [`Self::top_n_with`] under a wall-clock deadline.
@@ -385,8 +446,9 @@ impl TaIndex {
     /// past `deadline` is bounded by a handful of O(1) score evaluations.
     ///
     /// A deadline that has already expired on entry returns a well-formed
-    /// *empty* [`TaCompletion::Degraded`] result without performing a
-    /// single sorted access (the clock is polled before the first round).
+    /// *empty* [`TaCompletion::Degraded`] result without computing a single
+    /// key (the clock is polled once before the key pass, then before the
+    /// first round).
     /// Queries that are trivially exact — `n == 0` or an empty candidate
     /// space — stay [`TaCompletion::Exact`] regardless of the deadline.
     ///
@@ -402,11 +464,12 @@ impl TaIndex {
         deadline: Instant,
         scratch: &mut TaScratch,
     ) -> (Vec<(f32, UserId, EventId)>, TaStats, TaCompletion) {
-        self.search(space, q, n, filter, scratch, Some(deadline))
+        let found = self.search(space, q, n, filter, scratch, Some(deadline));
+        (found.results, found.stats, found.completion)
     }
 
     /// Shared TA core for the exact and deadline-bounded entry points.
-    fn search(
+    pub(crate) fn search(
         &self,
         space: &TransformedSpace,
         q: &[f32],
@@ -414,41 +477,43 @@ impl TaIndex {
         mut filter: impl FnMut(UserId, EventId) -> bool,
         scratch: &mut TaScratch,
         deadline: Option<Instant>,
-    ) -> (Vec<(f32, UserId, EventId)>, TaStats, TaCompletion) {
+    ) -> TaSearch {
         assert_eq!(q.len(), space.dim(), "query dimensionality mismatch");
         assert_eq!(self.pairs, space.len(), "index was built from a space of different size");
         let mut stats = TaStats::default();
+        // On deadline expiry `cutoff` becomes the final threshold: only heap
+        // entries strictly above it are provably part of the exact top-n.
+        let mut completion = TaCompletion::Exact;
+        let mut cutoff = f32::NEG_INFINITY;
         if n == 0 || space.is_empty() {
-            return (Vec::new(), stats, TaCompletion::Exact);
+            return TaSearch { results: Vec::new(), stats, completion, cutoff };
+        }
+        // An already-expired deadline must not pay the key pass: nothing
+        // has been examined, so nothing is verified.
+        if deadline.is_some_and(|d| Instant::now() >= d) {
+            return TaSearch {
+                results: Vec::new(),
+                stats,
+                completion: TaCompletion::Degraded,
+                cutoff: f32::INFINITY,
+            };
         }
         let k = space.k();
-        let u = &q[0..k];
 
         // Per-query composite keys: A over distinct events, B over distinct
-        // partners. O((|X| + |U|)·K), into reused buffers.
-        scratch.a_keys.clear();
-        scratch
-            .a_keys
-            .extend(self.event_rep.iter().map(|&rep| dot(u, &space.point(rep as usize)[0..k])));
-        scratch.b_keys.clear();
-        scratch.b_keys.extend(
-            self.partner_rep.iter().map(|&rep| dot(u, &space.point(rep as usize)[k..2 * k])),
-        );
-        fill_order(&mut scratch.a_order, &scratch.a_keys);
-        fill_order(&mut scratch.b_order, &scratch.b_keys);
+        // partners. O((|X| + |U|)·K) over the contiguous group matrices,
+        // into reused buffers; then O(|X| + |U|) to heapify them.
+        scratch.a_keys.resize(self.num_events(), 0.0);
+        dot_batch(&q[0..k], &self.event_vecs, &mut scratch.a_keys);
+        scratch.b_keys.resize(self.num_partners(), 0.0);
+        dot_batch(&q[0..k], &self.partner_vecs, &mut scratch.b_keys);
+        heapify_groups(&mut scratch.a_groups, &scratch.a_keys);
+        heapify_groups(&mut scratch.b_groups, &scratch.b_keys);
 
-        let mut a_cursor = GroupCursor::new(
-            &scratch.a_order,
-            &scratch.a_keys,
-            &self.event_offsets,
-            &self.event_members,
-        );
-        let mut b_cursor = GroupCursor::new(
-            &scratch.b_order,
-            &scratch.b_keys,
-            &self.partner_offsets,
-            &self.partner_members,
-        );
+        let mut a_cursor =
+            GroupCursor::new(&mut scratch.a_groups, &self.event_offsets, &self.event_members);
+        let mut b_cursor =
+            GroupCursor::new(&mut scratch.b_groups, &self.partner_offsets, &self.partner_members);
         let mut c_pos = 0usize;
 
         // Epoch-stamped visited set: bumping the epoch invalidates all
@@ -470,19 +535,15 @@ impl TaIndex {
         heap.clear();
         let c_value = |idx: u32| space.point(idx as usize)[2 * k];
 
-        // On deadline expiry this is set to the final threshold: only heap
-        // entries strictly above it are provably part of the exact top-n.
-        let mut completion = TaCompletion::Exact;
-        let mut cutoff = f32::NEG_INFINITY;
         let mut round = 0u32;
 
         loop {
             // Poll the clock on round 0 and every 8 rounds thereafter: one
             // `Instant::now()` per ~24 sorted accesses keeps the deadline
             // overhead off the exact path's profile while bounding the
-            // overrun. Checking *before* the increment means an
-            // already-expired deadline degrades before the first sorted
-            // access instead of silently running 7 full unpolled rounds.
+            // overrun. Checking *before* the increment means a deadline
+            // that expired during the key pass degrades before the first
+            // sorted access instead of running 7 full unpolled rounds.
             if let Some(d) = deadline {
                 if round.is_multiple_of(8) && Instant::now() >= d {
                     let c_bound = if c_pos < self.by_interaction.len() {
@@ -561,7 +622,154 @@ impl TaIndex {
             })
             .collect();
         results.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        (results, stats, completion)
+        TaSearch { results, stats, completion, cutoff }
+    }
+}
+
+/// The search as it was before the group heaps: every key through a
+/// per-pair `dot`, both group lists fully sorted up front, a cursor walking
+/// the sorted order. Kept as the oracle the lazy search must match in
+/// results *and* [`TaStats`].
+#[cfg(test)]
+mod full_sort {
+    use super::*;
+    use gem_core::math::dot;
+
+    /// Fill `order` with `0..keys.len()` sorted by descending key (ties by
+    /// ascending index; NaN keys order via `total_cmp` — deterministic).
+    pub(super) fn fill_order(order: &mut Vec<u32>, keys: &[f32]) {
+        order.clear();
+        order.extend(0..keys.len() as u32);
+        order.sort_unstable_by(|&a, &b| {
+            keys[b as usize].total_cmp(&keys[a as usize]).then(a.cmp(&b))
+        });
+    }
+
+    struct SortedCursor<'a> {
+        order: &'a [u32],
+        keys: &'a [f32],
+        offsets: &'a [u32],
+        members: &'a [u32],
+        group_pos: usize,
+        within_pos: usize,
+    }
+
+    impl SortedCursor<'_> {
+        fn bound(&self) -> f32 {
+            self.order.get(self.group_pos).map_or(f32::NEG_INFINITY, |&g| self.keys[g as usize])
+        }
+
+        fn pop(&mut self) -> Option<u32> {
+            while let Some(&g) = self.order.get(self.group_pos) {
+                let start = self.offsets[g as usize] as usize;
+                let end = self.offsets[g as usize + 1] as usize;
+                if start + self.within_pos < end {
+                    self.within_pos += 1;
+                    return Some(self.members[start + self.within_pos - 1]);
+                }
+                self.group_pos += 1;
+                self.within_pos = 0;
+            }
+            None
+        }
+    }
+
+    pub(super) fn search(
+        index: &TaIndex,
+        space: &TransformedSpace,
+        q: &[f32],
+        n: usize,
+        mut filter: impl FnMut(UserId, EventId) -> bool,
+    ) -> (Vec<(f32, UserId, EventId)>, TaStats) {
+        let mut stats = TaStats::default();
+        if n == 0 || space.is_empty() {
+            return (Vec::new(), stats);
+        }
+        let k = space.k();
+        // Every member of a group carries the group's vector, so any of
+        // them yields the group's key.
+        let mut a_keys = vec![0.0f32; index.num_events()];
+        let mut b_keys = vec![0.0f32; index.num_partners()];
+        for i in 0..space.len() {
+            a_keys[index.event_gid[i] as usize] = dot(&q[0..k], &space.point(i)[0..k]);
+            b_keys[index.partner_gid[i] as usize] = dot(&q[0..k], &space.point(i)[k..2 * k]);
+        }
+        let (mut a_order, mut b_order) = (Vec::new(), Vec::new());
+        fill_order(&mut a_order, &a_keys);
+        fill_order(&mut b_order, &b_keys);
+        let mut a_cursor = SortedCursor {
+            order: &a_order,
+            keys: &a_keys,
+            offsets: &index.event_offsets,
+            members: &index.event_members,
+            group_pos: 0,
+            within_pos: 0,
+        };
+        let mut b_cursor = SortedCursor {
+            order: &b_order,
+            keys: &b_keys,
+            offsets: &index.partner_offsets,
+            members: &index.partner_members,
+            group_pos: 0,
+            within_pos: 0,
+        };
+        let mut c_pos = 0usize;
+        let c_value = |idx: u32| space.point(idx as usize)[2 * k] * q[2 * k];
+        let mut seen = vec![false; space.len()];
+        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
+        loop {
+            let mut progressed = false;
+            for source in 0..3u8 {
+                let idx = match source {
+                    0 => a_cursor.pop(),
+                    1 => b_cursor.pop(),
+                    _ => {
+                        c_pos += 1;
+                        index.by_interaction.get(c_pos - 1).copied()
+                    }
+                };
+                let Some(idx) = idx else { continue };
+                progressed = true;
+                stats.sorted_accesses += 1;
+                if std::mem::replace(&mut seen[idx as usize], true) {
+                    continue;
+                }
+                let (partner, event) = space.pair(idx as usize);
+                if !filter(partner, event) {
+                    continue;
+                }
+                stats.scored += 1;
+                let score = a_keys[index.event_gid[idx as usize] as usize]
+                    + b_keys[index.partner_gid[idx as usize] as usize]
+                    + c_value(idx);
+                if heap.len() < n {
+                    heap.push(HeapEntry { score, idx });
+                } else if heap.peek().is_some_and(|worst| score > worst.score) {
+                    heap.pop();
+                    heap.push(HeapEntry { score, idx });
+                }
+            }
+            if !progressed {
+                break;
+            }
+            if heap.len() == n {
+                let c_bound =
+                    index.by_interaction.get(c_pos).map_or(f32::NEG_INFINITY, |&i| c_value(i));
+                let threshold = a_cursor.bound() + b_cursor.bound() + c_bound;
+                if heap.peek().expect("heap is non-empty").score >= threshold {
+                    break;
+                }
+            }
+        }
+        let mut results: Vec<(f32, UserId, EventId)> = heap
+            .drain()
+            .map(|e| {
+                let (p, x) = space.pair(e.idx as usize);
+                (e.score, p, x)
+            })
+            .collect();
+        results.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+        (results, stats)
     }
 }
 
@@ -573,7 +781,7 @@ mod tests {
     use gem_core::GemModel;
     use rand::RngExt;
 
-    fn cross_space(model: &GemModel, users: u32, events: u32) -> TransformedSpace {
+    pub(super) fn cross_space(model: &GemModel, users: u32, events: u32) -> TransformedSpace {
         let candidates: Vec<(UserId, EventId)> =
             (0..users).flat_map(|p| (0..events).map(move |x| (UserId(p), EventId(x)))).collect();
         TransformedSpace::build(model, &candidates)
@@ -860,11 +1068,80 @@ mod tests {
                 [index.event_offsets[g] as usize..index.event_offsets[g + 1] as usize];
             assert!(span.iter().all(|&i| index.event_gid[i as usize] as usize == g));
         }
+        // Row `g` of each group matrix is the vector every member of group
+        // `g` carries in the transformed space.
+        let k = space.k();
+        assert_eq!(index.event_vecs.len(), index.num_events() * k);
+        assert_eq!(index.partner_vecs.len(), index.num_partners() * k);
+        for i in 0..space.len() {
+            let (eg, pg) = (index.event_gid[i] as usize, index.partner_gid[i] as usize);
+            assert_eq!(&index.event_vecs[eg * k..(eg + 1) * k], &space.point(i)[0..k]);
+            assert_eq!(&index.partner_vecs[pg * k..(pg + 1) * k], &space.point(i)[k..2 * k]);
+        }
+    }
+
+    pub(super) fn signed_model(nu: u32, nx: u32, dim: usize, seed: u64) -> GemModel {
+        let mut rng = gem_sampling::rng_from_seed(seed);
+        let users: Vec<f32> = (0..nu as usize * dim).map(|_| rng.random::<f32>() - 0.4).collect();
+        let events: Vec<f32> = (0..nx as usize * dim).map(|_| rng.random::<f32>() - 0.4).collect();
+        GemModel::from_raw(dim, users, events, vec![], vec![], vec![])
+    }
+
+    /// `n ≥ pairs`: the answer is the whole candidate set, ranked. With
+    /// `n > pairs` the top-n never fills, so no threshold stops the search:
+    /// all three lists run dry and both group heaps are drained to empty —
+    /// the worst case for lazy ordering.
+    #[test]
+    fn full_drain_returns_every_pair_like_brute_force() {
+        let model = signed_model(30, 12, 5, 17);
+        let space = cross_space(&model, 30, 12);
+        let index = TaIndex::build(&space);
+        let brute = BruteForce::new(&space);
+        let mut scratch = TaScratch::new();
+        for n in [space.len(), space.len() + 7] {
+            for u in [0u32, 14, 29] {
+                let q = TransformedSpace::query_vector(&model, UserId(u));
+                let (ta, stats) = index.top_n_with(&space, &q, n, |_, _| true, &mut scratch);
+                assert_eq!(ta.len(), space.len(), "u={u} n={n}");
+                assert_eq!(stats.scored, space.len(), "u={u} n={n}");
+                if n > space.len() {
+                    assert_eq!(stats.sorted_accesses, 3 * space.len(), "u={u}");
+                    assert!(scratch.a_groups.is_empty() && scratch.b_groups.is_empty());
+                }
+                let bf = brute.top_n(&q, n, |_, _| true);
+                assert_eq!(bf.len(), ta.len());
+                for (a, b) in ta.iter().zip(&bf) {
+                    assert!((a.0 - b.0).abs() < 1e-5, "u={u} n={n}: {a:?} vs {b:?}");
+                }
+                assert_eq!((ta, stats), full_sort::search(&index, &space, &q, n, |_, _| true));
+            }
+        }
+    }
+
+    /// One scratch serving two indexes with different group counts (a
+    /// daemon worker across a rebuild): keys, group heaps and the visited
+    /// set must all resize, in both directions.
+    #[test]
+    fn one_scratch_serves_indexes_of_different_sizes() {
+        let model = signed_model(50, 20, 6, 3);
+        let big = cross_space(&model, 50, 20);
+        let small = cross_space(&model, 9, 4);
+        let (big_index, small_index) = (TaIndex::build(&big), TaIndex::build(&small));
+        let mut scratch = TaScratch::new();
+        for (space, index) in [(&big, &big_index), (&small, &small_index), (&big, &big_index)] {
+            for u in [0u32, 5, 8] {
+                let q = TransformedSpace::query_vector(&model, UserId(u));
+                let reused = index.top_n_with(space, &q, 6, |p, _| p != UserId(u), &mut scratch);
+                let fresh = index.top_n(space, &q, 6, |p, _| p != UserId(u));
+                assert_eq!(reused, fresh, "u={u} pairs={}", space.len());
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{cross_space, signed_model};
     use super::*;
     use crate::brute::BruteForce;
     use gem_core::GemModel;
@@ -901,7 +1178,55 @@ mod proptests {
         Ok(())
     }
 
+    /// Keys that stress the ordering: ties, both zeros, both infinities and
+    /// NaNs of both signs.
+    const KEY_PALETTE: [f32; 10] =
+        [0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN, 1.0, 1.0, -2.5, 3.75];
+
     proptest! {
+        /// Draining the group heap visits groups in exactly the order the
+        /// full sort it replaced produced.
+        #[test]
+        fn heap_drain_equals_full_sort_order(
+            picks in prop::collection::vec(0usize..KEY_PALETTE.len(), 0..80),
+        ) {
+            let keys: Vec<f32> = picks.iter().map(|&i| KEY_PALETTE[i]).collect();
+            let mut sorted = Vec::new();
+            full_sort::fill_order(&mut sorted, &keys);
+            // Start from a dirty heap, as a reused scratch would.
+            let mut groups = BinaryHeap::from(vec![GroupKey { key: 9.0, gid: 999 }]);
+            heapify_groups(&mut groups, &keys);
+            let mut drained = Vec::new();
+            while let Some(g) = groups.pop() {
+                prop_assert_eq!(g.key.to_bits(), keys[g.gid as usize].to_bits());
+                drained.push(g.gid);
+            }
+            prop_assert_eq!(drained, sorted);
+        }
+
+        /// The lazy search is the full-sort search: same results bit for
+        /// bit, same work counters — so the bound it stops on lags and
+        /// moves exactly as the sorted cursor's did.
+        #[test]
+        fn lazy_search_equals_full_sort_search(
+            dim in 2usize..7,
+            nu in 2u32..40,
+            nx in 1u32..16,
+            n in 1usize..14,
+            seed in 0u64..1000,
+        ) {
+            let model = signed_model(nu, nx, dim, seed);
+            let space = cross_space(&model, nu, nx);
+            let index = TaIndex::build(&space);
+            let mut scratch = TaScratch::new();
+            for u in [0u32, nu / 2, nu - 1] {
+                let q = TransformedSpace::query_vector(&model, UserId(u));
+                let lazy = index.top_n_with(&space, &q, n, |p, _| p != UserId(u), &mut scratch);
+                let sorted = full_sort::search(&index, &space, &q, n, |p, _| p != UserId(u));
+                prop_assert_eq!(lazy, sorted, "u={}", u);
+            }
+        }
+
         /// TA always returns exactly the brute-force top-n scores, for any
         /// signed model.
         #[test]
