@@ -1,21 +1,25 @@
 //! Exhaustive top-n scoring (the paper's GEM-BF baseline).
 //!
-//! Scores every candidate point against the query and selects the best `n`.
+//! Scores every candidate pair against the query and selects the best `n`.
 //! Used both as the efficiency baseline of Table VI and as the correctness
-//! oracle for the TA implementation.
+//! oracle for the TA implementation. It scores through the same
+//! `A + B + C` expression as TA's random access
+//! (`TransformedSpace::score`), so the two methods' scores are
+//! bit-identical and only the set of pairs examined differs.
 
 use crate::transform::TransformedSpace;
-use gem_core::math::dot_batch;
 use gem_ebsn::{EventId, UserId};
 
-/// Reusable working memory for [`BruteForce::top_n_with`]: the raw score
-/// table and the filtered `(score, partner, event)` selection buffer. Both
-/// are `O(candidates)` — reusing them keeps large per-query allocations
-/// (which glibc serves via mmap/munmap, page-faulting every touch) off the
+/// Reusable working memory for [`BruteForce::top_n_with`]: the per-query
+/// A / B keys (one per distinct event / partner) and the filtered
+/// `(score, partner, event)` selection buffer. The latter is
+/// `O(candidates)` — reusing it keeps large per-query allocations (which
+/// glibc serves via mmap/munmap, page-faulting every touch) off the
 /// serving path.
 #[derive(Debug, Default)]
 pub struct BruteScratch {
-    scores: Vec<f32>,
+    a_keys: Vec<f32>,
+    b_keys: Vec<f32>,
     scored: Vec<(f32, UserId, EventId)>,
 }
 
@@ -40,8 +44,8 @@ impl<'s> BruteForce<'s> {
 
     /// Exact top-`n` by scanning all candidates. Candidates rejected by
     /// `filter` are skipped. Results are sorted by descending score.
-    /// Allocates a fresh score buffer; serving loops should call
-    /// [`Self::top_n_with`] with a reused one.
+    /// Allocates fresh working memory; serving loops should call
+    /// [`Self::top_n_with`] with a reused [`BruteScratch`].
     pub fn top_n(
         &self,
         q: &[f32],
@@ -52,11 +56,11 @@ impl<'s> BruteForce<'s> {
         self.top_n_with(q, n, filter, &mut scratch)
     }
 
-    /// [`Self::top_n`] with caller-owned scratch. All candidates are
-    /// scored in one [`dot_batch`] sweep over the contiguous point rows
-    /// (the fused kernel beats a per-point `dot` call loop), then the
-    /// filter and selection run over the score table; only the final `n`
-    /// results are copied out.
+    /// [`Self::top_n`] with caller-owned scratch. The A and B keys are
+    /// filled by the same two `dot_batch` sweeps over the space's row
+    /// matrices that TA runs; every pair the filter admits is then scored
+    /// by three lookups and selected from; only the final `n` results are
+    /// copied out.
     pub fn top_n_with(
         &self,
         q: &[f32],
@@ -64,19 +68,18 @@ impl<'s> BruteForce<'s> {
         mut filter: impl FnMut(UserId, EventId) -> bool,
         scratch: &mut BruteScratch,
     ) -> Vec<(f32, UserId, EventId)> {
-        assert_eq!(q.len(), self.space.dim(), "query dimensionality mismatch");
-        let scores = &mut scratch.scores;
-        scores.clear();
-        scores.resize(self.space.len(), 0.0);
-        dot_batch(q, self.space.points_flat(), scores);
+        let space = self.space;
+        assert_eq!(q.len(), space.dim(), "query dimensionality mismatch");
+        space.fill_keys(q, &mut scratch.a_keys, &mut scratch.b_keys);
+        let qw = q[2 * space.k()];
         let scored = &mut scratch.scored;
         scored.clear();
-        for (i, &s) in scores.iter().enumerate() {
-            let (p, x) = self.space.pair(i);
+        for i in 0..space.len() {
+            let (p, x) = space.pair(i);
             if !filter(p, x) {
                 continue;
             }
-            scored.push((s, p, x));
+            scored.push((space.score(i, &scratch.a_keys, &scratch.b_keys, qw), p, x));
         }
         let take = n.min(scored.len());
         if take == 0 {

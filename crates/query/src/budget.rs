@@ -3,7 +3,8 @@
 //! The serving engine's resident size is a pure function of the pool sizes
 //! and the pruning parameter: `pairs = partners · min(k, events)` candidate
 //! pairs, each costing a known number of bytes in the candidate list, the
-//! transformed `2K+1` space and the TA index. [`MemBudget`] turns the
+//! (factored) transformed space and the TA index — 40 in all — plus one
+//! `K`-float row per distinct event and partner. [`MemBudget`] turns the
 //! `space_mib` number every bench already reports into a *hard constraint*
 //! at build time: the build projects its footprint up front, then verifies
 //! the actual bytes after every phase. Exceeding the budget either fails
@@ -134,9 +135,10 @@ pub struct BuildReport {
     pub effective_k: usize,
     /// Bytes of the pruned candidate-pair list.
     pub candidate_bytes: usize,
-    /// Bytes of the transformed `2K+1` space.
+    /// Bytes of the transformed space: per-pair ids, row ids and
+    /// interaction values, plus the two shared row matrices.
     pub space_bytes: usize,
-    /// Bytes of the TA index.
+    /// Bytes of the TA index (the three orderings of the pairs).
     pub index_bytes: usize,
     /// Sum of the three components above.
     pub total_bytes: usize,
@@ -152,13 +154,15 @@ pub struct BuildReport {
 /// the projection cannot trip the post-phase checks:
 ///
 /// * candidate list: `pairs` × 8 (two u32 ids) — exact;
-/// * transformed space: `pairs` × ((2·dim+1)·4 + 8) (point + pair id) —
-///   exact;
-/// * TA index: `pairs` × 20 (five u32-per-pair arrays) plus, per group, one
-///   CSR offset and one `dim`-float row of the group-vector matrix the
-///   query computes its keys from — with at most `min(pairs, events)`
-///   event groups and `min(pairs, partners)` partner groups, an upper
-///   bound, since distinct groups can collapse.
+/// * transformed space: `pairs` × 20 (pair id, interaction value, two row
+///   ids) plus one `dim`-float row per group in the matrices the query
+///   computes its keys from;
+/// * TA index: `pairs` × 12 (three u32-per-pair orderings) plus one CSR
+///   offset per group and two terminators.
+///
+/// Groups are counted as at most `min(pairs, events)` event groups and
+/// `min(pairs, partners)` partner groups — an upper bound, since distinct
+/// groups can collapse.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Projection {
     /// Bytes of the candidate-pair list.
@@ -176,11 +180,12 @@ impl Projection {
         let partner_groups = pairs.min(partners);
         Self {
             candidate_bytes: pairs.saturating_mul(8),
-            space_bytes: pairs.saturating_mul((2 * dim + 1) * 4 + 8),
-            index_bytes: pairs
+            space_bytes: pairs
                 .saturating_mul(20)
-                .saturating_add((event_groups + partner_groups + 2) * 4)
                 .saturating_add((event_groups + partner_groups).saturating_mul(dim * 4)),
+            index_bytes: pairs
+                .saturating_mul(12)
+                .saturating_add((event_groups + partner_groups + 2) * 4),
         }
     }
 

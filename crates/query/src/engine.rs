@@ -150,6 +150,83 @@ impl ServeScratch {
     }
 }
 
+/// Start of a phase that began at `t`, on `tracer`'s clock.
+fn phase_start(tracer: &Tracer, t: &Instant) -> u64 {
+    tracer.now_ns().saturating_sub(t.elapsed().as_nanos() as u64)
+}
+
+/// The tail of every engine build, one-shot or incremental: transform the
+/// pruned `candidates`, index the space, and account for both — `build.*`
+/// spans on `tracer`, phase timings and resident bytes in the `build.*`
+/// gauges, and a hard byte check after each phase when `limit` is set.
+/// `Err` is only reachable with a limit.
+pub(crate) fn index_candidates(
+    model: &GemModel,
+    candidates: &[(UserId, EventId)],
+    top_k: usize,
+    limit: Option<usize>,
+    metrics: &EngineMetrics,
+    tracer: &Tracer,
+) -> Result<(TransformedSpace, TaIndex, BuildReport), BuildError> {
+    let check = |phase: &'static str, used: usize| match limit {
+        Some(limit_bytes) if used > limit_bytes => {
+            Err(BuildError::BudgetExceeded { phase, needed_bytes: used, limit_bytes })
+        }
+        _ => Ok(()),
+    };
+    let candidate_bytes = std::mem::size_of_val(candidates);
+    check("prune", candidate_bytes)?;
+
+    let t1 = Instant::now();
+    let space = TransformedSpace::build(model, candidates);
+    let transform_ns = t1.elapsed().as_nanos() as u64;
+    metrics.build_transform_ns.set(transform_ns as f64);
+    tracer.record_span(
+        "build.transform",
+        "build",
+        phase_start(tracer, &t1),
+        transform_ns,
+        &[("pairs", space.len() as u64)],
+    );
+    let space_bytes = space.bytes();
+    check("transform", candidate_bytes + space_bytes)?;
+
+    // Build the TA index eagerly: an engine exists to be queried.
+    let t2 = Instant::now();
+    let index = TaIndex::build(&space);
+    let index_ns = t2.elapsed().as_nanos() as u64;
+    metrics.build_index_ns.set(index_ns as f64);
+    tracer.record_span(
+        "build.index",
+        "build",
+        phase_start(tracer, &t2),
+        index_ns,
+        &[("pairs", space.len() as u64)],
+    );
+    let index_bytes = index.bytes();
+    let total_bytes = candidate_bytes + space_bytes + index_bytes;
+    check("index", total_bytes)?;
+
+    metrics.build_candidate_pairs.set(space.len() as f64);
+    metrics.build_space_bytes.set(space_bytes as f64);
+    metrics.build_index_bytes.set(index_bytes as f64);
+    metrics.build_total_bytes.set(total_bytes as f64);
+    metrics.build_prune_k.set(top_k as f64);
+    if let Some(limit_bytes) = limit {
+        metrics.build_budget_limit_bytes.set(limit_bytes as f64);
+    }
+    let report = BuildReport {
+        requested_k: top_k,
+        effective_k: top_k,
+        candidate_bytes,
+        space_bytes,
+        index_bytes,
+        total_bytes,
+        limit_bytes: limit,
+    };
+    Ok((space, index, report))
+}
+
 /// A ready-to-serve recommendation engine over a trained model.
 ///
 /// The engine is built offline from a model snapshot, a partner pool, an
@@ -237,9 +314,8 @@ impl RecommendationEngine {
         Ok((engine, report))
     }
 
-    /// The shared build pipeline: prune → transform → index, with spans,
-    /// gauges and (when `budget` is set) a hard byte check after each
-    /// phase. `Err` is only reachable with a budget.
+    /// The build pipeline: prune, then [`index_candidates`]. `Err` is only
+    /// reachable with a budget.
     fn build_phases(
         model: GemModel,
         partners: &[UserId],
@@ -250,16 +326,6 @@ impl RecommendationEngine {
         budget: Option<MemBudget>,
     ) -> Result<(Self, BuildReport), BuildError> {
         let tracer = &tracing.tracer;
-        let phase_start =
-            |t: &Instant| tracer.now_ns().saturating_sub(t.elapsed().as_nanos() as u64);
-        let limit = budget.map(|b| b.limit_bytes);
-        let check = |phase: &'static str, used: usize| match limit {
-            Some(limit_bytes) if used > limit_bytes => {
-                Err(BuildError::BudgetExceeded { phase, needed_bytes: used, limit_bytes })
-            }
-            _ => Ok(()),
-        };
-
         let t0 = Instant::now();
         let candidates = top_k_events_per_partner(&model, partners, events, top_k_events);
         let prune_ns = t0.elapsed().as_nanos() as u64;
@@ -267,60 +333,13 @@ impl RecommendationEngine {
         tracer.record_span(
             "build.prune",
             "build",
-            phase_start(&t0),
+            phase_start(tracer, &t0),
             prune_ns,
             &[("partners", partners.len() as u64), ("events", events.len() as u64)],
         );
-        let candidate_bytes = candidates.len() * std::mem::size_of::<(UserId, EventId)>();
-        check("prune", candidate_bytes)?;
-
-        let t1 = Instant::now();
-        let space = TransformedSpace::build(&model, &candidates);
-        let transform_ns = t1.elapsed().as_nanos() as u64;
-        metrics.build_transform_ns.set(transform_ns as f64);
-        tracer.record_span(
-            "build.transform",
-            "build",
-            phase_start(&t1),
-            transform_ns,
-            &[("pairs", space.len() as u64)],
-        );
-        let space_bytes = space.bytes();
-        check("transform", candidate_bytes + space_bytes)?;
-
-        // Build the TA index eagerly: an engine exists to be queried.
-        let t2 = Instant::now();
-        let index = TaIndex::build(&space);
-        let index_ns = t2.elapsed().as_nanos() as u64;
-        metrics.build_index_ns.set(index_ns as f64);
-        tracer.record_span(
-            "build.index",
-            "build",
-            phase_start(&t2),
-            index_ns,
-            &[("pairs", space.len() as u64)],
-        );
-        let index_bytes = index.bytes();
-        let total_bytes = candidate_bytes + space_bytes + index_bytes;
-        check("index", total_bytes)?;
-
-        metrics.build_candidate_pairs.set(space.len() as f64);
-        metrics.build_space_bytes.set(space_bytes as f64);
-        metrics.build_index_bytes.set(index_bytes as f64);
-        metrics.build_total_bytes.set(total_bytes as f64);
-        metrics.build_prune_k.set(top_k_events as f64);
-        if let Some(limit_bytes) = limit {
-            metrics.build_budget_limit_bytes.set(limit_bytes as f64);
-        }
-        let report = BuildReport {
-            requested_k: top_k_events,
-            effective_k: top_k_events,
-            candidate_bytes,
-            space_bytes,
-            index_bytes,
-            total_bytes,
-            limit_bytes: limit,
-        };
+        let limit = budget.map(|b| b.limit_bytes);
+        let (space, index, report) =
+            index_candidates(&model, &candidates, top_k_events, limit, &metrics, tracer)?;
         Ok((Self { model, space, index, metrics, tracing }, report))
     }
 
@@ -626,8 +645,9 @@ mod tests {
             let (ta, _) = e.recommend(UserId(u), 3, Method::Ta);
             let (bf, _) = e.recommend(UserId(u), 3, Method::BruteForce);
             assert_eq!(ta.len(), bf.len());
+            // Both methods score through `TransformedSpace::score`.
             for (a, b) in ta.iter().zip(&bf) {
-                assert!((a.score - b.score).abs() < 1e-6);
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "u={u}: {a:?} vs {b:?}");
             }
         }
     }

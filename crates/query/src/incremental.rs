@@ -11,10 +11,11 @@
 //!   threshold proof stays valid because removal only shrinks the
 //!   candidate set.
 //! * a **delta list** — candidate pairs that entered a partner's pruned
-//!   top-k after the base was built, stored as pre-transformed `2K+1`
-//!   points. Deltas are scanned exhaustively per query (they are small by
-//!   construction — past the staleness budget the owner rebuilds) and
-//!   merged with the base TA results.
+//!   top-k after the base was built, stored as the pair and its
+//!   interaction `c = u'ᵀx` only: the other `2K` coordinates of its point
+//!   are the model's own rows. Deltas are scanned exhaustively per query
+//!   (they are small by construction — past the staleness budget the owner
+//!   rebuilds) and merged with the base TA results.
 //!
 //! The maintained invariant is exactly the §IV pruning rule: after any
 //! sequence of [`IncrementalEngine::add_event`] /
@@ -32,13 +33,17 @@
 //! concurrently.
 
 use crate::budget::{BuildError, MemBudget};
-use crate::engine::{DeadlineRecommendations, Recommendation, ServeError, ServeScratch};
+use crate::engine::{
+    index_candidates, DeadlineRecommendations, Recommendation, ServeError, ServeScratch,
+};
 use crate::metrics::EngineMetrics;
+use crate::prune::{cmp_entry, partner_top};
 use crate::ta::{TaCompletion, TaIndex, TaSearch, TaStats};
 use crate::transform::TransformedSpace;
 use gem_core::math::dot;
 use gem_core::{EventScorer, GemModel};
 use gem_ebsn::{EventId, UserId};
+use gem_obs::Tracer;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -80,27 +85,6 @@ pub(crate) struct IndexBase {
     pub(crate) partners: Vec<UserId>,
 }
 
-/// Ranking order for per-partner top-k entries: descending score, ties by
-/// ascending event id — identical to `prune::top_k_events_per_partner`.
-fn cmp_entry(a: &(f32, EventId), b: &(f32, EventId)) -> std::cmp::Ordering {
-    b.0.total_cmp(&a.0).then(a.1.cmp(&b.1))
-}
-
-/// The per-partner pruned top-`take` over `events`, in ranking order.
-/// Selection and order match `prune::top_k_events_per_partner` bit for bit.
-fn partner_top(
-    model: &GemModel,
-    partner: UserId,
-    events: &[EventId],
-    take: usize,
-) -> Vec<(f32, EventId)> {
-    let mut scored: Vec<(f32, EventId)> =
-        events.iter().map(|&x| (model.score_event(partner, x) as f32, x)).collect();
-    scored.sort_unstable_by(cmp_entry);
-    scored.truncate(take);
-    scored
-}
-
 /// Mutable master of the incrementally-maintained engine. Owned by one
 /// maintenance thread; serving threads query [`EngineSnapshot`]s published
 /// via [`Self::snapshot`].
@@ -118,17 +102,17 @@ pub struct IncrementalEngine {
     /// Live event ids, ascending.
     live: Vec<EventId>,
     /// Per-partner pruned top-k (aligned with `base.partners`), each in
-    /// ranking order. Invariant: `tops[i] == partner_top(model, partners[i],
-    /// live, min(top_k, live.len()))`.
+    /// ranking order. Invariant: `tops[i] == prune::partner_top(model,
+    /// partners[i], live, min(top_k, live.len()))`.
     tops: Vec<Vec<(f32, EventId)>>,
     /// `(partner, event)` raw-id pairs present in the base space.
     base_pairs: HashSet<(u32, u32)>,
     /// Base pairs currently masked out of queries.
     removed: HashSet<(u32, u32)>,
-    /// Overlay pairs not present in the base, plus their transformed
-    /// points (row-major, `2K+1` each) and a lookup by raw-id pair.
+    /// Overlay pairs not present in the base, the interaction `u'ᵀx` of
+    /// each (aligned with `delta_pairs`) and a lookup by raw-id pair.
     delta_pairs: Vec<(UserId, EventId)>,
-    delta_points: Vec<f32>,
+    delta_c: Vec<f32>,
     delta_slot: HashMap<(u32, u32), usize>,
     /// Add/retire operations absorbed since the last (re)build.
     ops_since_rebuild: usize,
@@ -185,10 +169,13 @@ impl IncrementalEngine {
         live.sort_unstable();
         live.dedup();
         let take = top_k.min(live.len());
-        let tops: Vec<Vec<(f32, EventId)>> =
-            partners.iter().map(|&p| partner_top(&model, p, &live, take)).collect();
-        let (base, base_pairs) = Self::base_from_tops(model, partners.to_vec(), &tops, &metrics);
-        metrics.build_prune_k.set(top_k as f64);
+        let mut scored = Vec::with_capacity(live.len());
+        let tops: Vec<Vec<(f32, EventId)>> = partners
+            .iter()
+            .map(|&p| partner_top(&model, p, &live, take, &mut scored).to_vec())
+            .collect();
+        let (base, base_pairs) =
+            Self::base_from_tops(model, partners.to_vec(), &tops, top_k, &metrics);
         if let Some(b) = budget {
             metrics.build_budget_limit_bytes.set(b.limit_bytes as f64);
         }
@@ -203,16 +190,20 @@ impl IncrementalEngine {
             base_pairs,
             removed: HashSet::new(),
             delta_pairs: Vec::new(),
-            delta_points: Vec::new(),
+            delta_c: Vec::new(),
             delta_slot: HashMap::new(),
             ops_since_rebuild: 0,
         }
     }
 
+    /// A fresh base generation serving exactly the pairs in `tops`. No byte
+    /// limit is checked here: `top_k` was already resolved by projection,
+    /// and [`Self::rebuild`] keeps serving even when no k fits any more.
     fn base_from_tops(
         model: GemModel,
         partners: Vec<UserId>,
         tops: &[Vec<(f32, EventId)>],
+        top_k: usize,
         metrics: &EngineMetrics,
     ) -> (Arc<IndexBase>, HashSet<(u32, u32)>) {
         let candidates: Vec<(UserId, EventId)> = partners
@@ -221,16 +212,11 @@ impl IncrementalEngine {
             .flat_map(|(&p, top)| top.iter().map(move |&(_, x)| (p, x)))
             .collect();
         let base_pairs: HashSet<(u32, u32)> = candidates.iter().map(|&(p, x)| (p.0, x.0)).collect();
-        let space = TransformedSpace::build(&model, &candidates);
-        let index = TaIndex::build(&space);
-        metrics.build_candidate_pairs.set(space.len() as f64);
-        // Rebuilds re-account the resident footprint, so the scale tier's
-        // byte gauges stay truthful under churn, not just at first build.
-        metrics.build_space_bytes.set(space.bytes() as f64);
-        metrics.build_index_bytes.set(index.bytes() as f64);
-        metrics
-            .build_total_bytes
-            .set((candidates.len() * 8 + space.bytes() + index.bytes()) as f64);
+        // Rebuilds go through the same accounting as a first build, so the
+        // `build.*` gauges stay truthful under churn.
+        let (space, index, _report) =
+            index_candidates(&model, &candidates, top_k, None, metrics, &Tracer::disabled())
+                .expect("a build without a byte limit cannot exceed one");
         (Arc::new(IndexBase { model, space, index, partners }), base_pairs)
     }
 
@@ -379,13 +365,13 @@ impl IncrementalEngine {
         }
         let model = self.base.model.clone();
         let partners = self.base.partners.clone();
-        let (base, base_pairs) = Self::base_from_tops(model, partners, &self.tops, &self.metrics);
-        self.metrics.build_prune_k.set(self.top_k as f64);
+        let (base, base_pairs) =
+            Self::base_from_tops(model, partners, &self.tops, self.top_k, &self.metrics);
         self.base = base;
         self.base_pairs = base_pairs;
         self.removed.clear();
         self.delta_pairs.clear();
-        self.delta_points.clear();
+        self.delta_c.clear();
         self.delta_slot.clear();
         self.ops_since_rebuild = 0;
         self.metrics.maint_rebuilds.inc();
@@ -441,7 +427,7 @@ impl IncrementalEngine {
             base: Arc::clone(&self.base),
             removed: Arc::new(self.removed.clone()),
             delta_pairs: Arc::new(self.delta_pairs.clone()),
-            delta_points: Arc::new(self.delta_points.clone()),
+            delta_c: Arc::new(self.delta_c.clone()),
             metrics: self.metrics.clone(),
         }
     }
@@ -462,11 +448,11 @@ impl IncrementalEngine {
                 }
             }
             Greater => {
-                let model = &self.base.model;
-                let live = &self.live;
-                for (i, top) in self.tops.iter_mut().enumerate() {
+                let mut scored = Vec::with_capacity(self.live.len());
+                for (top, &p) in self.tops.iter_mut().zip(&self.base.partners) {
                     if top.len() < take {
-                        *top = partner_top(model, self.base.partners[i], live, take);
+                        *top = partner_top(&self.base.model, p, &self.live, take, &mut scored)
+                            .to_vec();
                     }
                 }
             }
@@ -480,15 +466,10 @@ impl IncrementalEngine {
         if self.base_pairs.contains(&key) {
             self.removed.remove(&key);
         } else if !self.delta_slot.contains_key(&key) {
-            let k = self.base.model.dim;
-            let pv = self.base.model.user_vec(p);
-            let xv = self.base.model.event_vec(x);
+            let model = &self.base.model;
             self.delta_slot.insert(key, self.delta_pairs.len());
             self.delta_pairs.push((p, x));
-            self.delta_points.extend_from_slice(xv);
-            self.delta_points.extend_from_slice(pv);
-            self.delta_points.push(dot(pv, xv));
-            debug_assert_eq!(self.delta_points.len(), self.delta_pairs.len() * (2 * k + 1));
+            self.delta_c.push(dot(model.user_vec(p), model.event_vec(x)));
         }
     }
 
@@ -498,16 +479,11 @@ impl IncrementalEngine {
         if self.base_pairs.contains(&key) {
             self.removed.insert(key);
         } else if let Some(slot) = self.delta_slot.remove(&key) {
-            let dim = 2 * self.base.model.dim + 1;
-            let last = self.delta_pairs.len() - 1;
             self.delta_pairs.swap_remove(slot);
-            if slot != last {
-                let (head, tail) = self.delta_points.split_at_mut(last * dim);
-                head[slot * dim..(slot + 1) * dim].copy_from_slice(&tail[..dim]);
-                let moved = self.delta_pairs[slot];
-                self.delta_slot.insert((moved.0 .0, moved.1 .0), slot);
+            self.delta_c.swap_remove(slot);
+            if let Some(&(moved_p, moved_x)) = self.delta_pairs.get(slot) {
+                self.delta_slot.insert((moved_p.0, moved_x.0), slot);
             }
-            self.delta_points.truncate(last * dim);
         }
     }
 }
@@ -527,7 +503,7 @@ pub struct EngineSnapshot {
     base: Arc<IndexBase>,
     removed: Arc<HashSet<(u32, u32)>>,
     delta_pairs: Arc<Vec<(UserId, EventId)>>,
-    delta_points: Arc<Vec<f32>>,
+    delta_c: Arc<Vec<f32>>,
     metrics: EngineMetrics,
 }
 
@@ -600,20 +576,19 @@ impl EngineSnapshot {
             deadline,
         );
         // Delta overlay: exhaustive scan with the same A + B + C
-        // decomposition as the TA random access, so delta scores are
-        // bitwise comparable with base scores. A degraded base search left
+        // decomposition as the TA random access, over the model rows the
+        // space's rows are copies of, so delta scores are bitwise
+        // comparable with base scores. A degraded base search left
         // base pairs unexamined, all of them at or below `cutoff`: a delta
         // pair joins the verified prefix only if it beats that bound too.
         let k = model.dim;
         let u = &scratch.q[0..k];
         let qw = scratch.q[2 * k];
-        let dim = 2 * k + 1;
-        for (j, &(p, x)) in self.delta_pairs.iter().enumerate() {
+        for (&(p, x), &c) in self.delta_pairs.iter().zip(self.delta_c.iter()) {
             if p == user {
                 continue;
             }
-            let row = &self.delta_points[j * dim..(j + 1) * dim];
-            let score = dot(u, &row[0..k]) + dot(u, &row[k..2 * k]) + row[2 * k] * qw;
+            let score = dot(u, model.event_vec(x)) + dot(u, model.user_vec(p)) + c * qw;
             stats.scored += 1;
             if completion == TaCompletion::Exact || score > cutoff {
                 results.push((score, p, x));
@@ -829,6 +804,12 @@ mod tests {
         .unwrap();
         assert_eq!(inc.prune_k(), 8, "2 live events fit the requested k");
         assert_eq!(reg.snapshot().gauge("build.prune_k"), 8.0);
+        // The daemon path times its phases like the one-shot build does.
+        const PHASE_GAUGES: [&str; 2] = ["build.transform_ns", "build.index_ns"];
+        for name in PHASE_GAUGES {
+            assert!(reg.snapshot().gauge(name) > 0.0, "{name} is 0 after the first build");
+            reg.gauge(name).set(0.0);
+        }
 
         for x in 2..nx {
             inc.add_event(EventId(x)).unwrap();
@@ -837,6 +818,9 @@ mod tests {
         // k = 8 over 24 live events — past the ceiling. It must re-resolve
         // against the current live count and degrade.
         inc.rebuild();
+        for name in PHASE_GAUGES {
+            assert!(reg.snapshot().gauge(name) > 0.0, "{name} is 0 after rebuild()");
+        }
         assert_eq!(inc.prune_k(), 4, "rebuild over the full pool degrades to the fitting k");
         assert_eq!(reg.snapshot().gauge("build.prune_k"), 4.0);
         assert!(reg.snapshot().gauge("build.total_bytes") <= limit as f64);

@@ -7,16 +7,19 @@
 //! 1. [`transform`] — map each candidate pair `(x, u')` to the point
 //!    `p = (x, u', u'ᵀx)` in a `2K+1`-dimensional space, and the target
 //!    user to the query `q = (u, u, 1)`; then `q·p` equals the triple score
-//!    exactly.
+//!    exactly. The points are stored factored — one `u'ᵀx` per pair, one
+//!    shared row per distinct event and partner — and the space owns the
+//!    one scoring expression `A + B + C` every retrieval method uses.
 //! 2. [`prune`] — keep only each partner's top-k events as candidate pairs
 //!    (a partner won't accept an invitation to an event they dislike),
 //!    shrinking the space from `|U|·|X|` to `|U|·k`.
 //! 3. [`ta`] — Fagin's Threshold Algorithm over per-dimension sorted lists:
 //!    returns the exact top-n while touching a small fraction of points
 //!    (the non-negativity of rectified embeddings makes `q·p` monotone per
-//!    dimension, which is TA's correctness requirement).
-//! 4. [`brute`] — the exhaustive scorer, used as the GEM-BF baseline and as
-//!    the correctness oracle for TA.
+//!    dimension, which is TA's correctness requirement). The index holds
+//!    only orderings of the space's pairs.
+//! 4. [`brute`] — the exhaustive scorer over the same factored space, used
+//!    as the GEM-BF baseline and as the correctness oracle for TA.
 //! 5. [`engine`] — the end-to-end [`RecommendationEngine`] facade, with a
 //!    fallible [`RecommendationEngine::try_recommend`] path for untrusted
 //!    request traffic, a deadline-bounded
@@ -26,9 +29,10 @@
 //!    newest checkpoint generation that passes validation.
 //! 6. [`incremental`] — incremental TA-index maintenance under event
 //!    churn: an [`IncrementalEngine`] master absorbs add/retire operations
-//!    into small removed/delta overlays over an immutable base index and
-//!    publishes cheap [`EngineSnapshot`]s for concurrent serving, falling
-//!    back to a full rebuild past a staleness budget.
+//!    into small removed/delta overlays (a delta pair carries its
+//!    `u'ᵀx` only) over an immutable base index and publishes cheap
+//!    [`EngineSnapshot`]s for concurrent serving, falling back to a full
+//!    rebuild past a staleness budget.
 //! 7. [`budget`] — memory-budgeted construction: [`MemBudget`] turns the
 //!    reported space number into a hard ceiling enforced during
 //!    [`RecommendationEngine::build_within_budget`], either failing or

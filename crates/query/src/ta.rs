@@ -33,6 +33,11 @@
 //!
 //! # Serving-path layout
 //!
+//! The [`TransformedSpace`] owns everything a score is made of — pair
+//! identities, the per-pair `C`, each pair's event / partner row id and the
+//! two row matrices the keys come from. The index owns only *orderings* of
+//! those pairs, all `u32`: the two group tables and the C-list.
+//!
 //! The group structure is stored in CSR form (one flat member array plus a
 //! `groups+1` offset array per axis) so that a query never copies it: the
 //! per-query [`GroupCursor`]s *borrow* the index. All per-query working
@@ -46,13 +51,9 @@
 //! prologue that runs before the first round, and the layout is chosen to
 //! keep that small:
 //!
-//! * **Keys from two contiguous matrices in one batched pass each.** The
-//!   build copies every group's vector once into a row-major
-//!   `groups × K` matrix per axis; the query fills the A and B keys with
-//!   two [`dot_batch`] calls over them instead of one scattered
-//!   `2K+1`-strided read per group. `dot_batch` runs the same per-row
-//!   kernel as `dot`, so keys and scores are bit-identical to the
-//!   row-at-a-time form on every SIMD backend.
+//! * **Keys from two contiguous matrices in one batched pass each**
+//!   (`TransformedSpace::fill_keys`), bit-identical to the row-at-a-time
+//!   form on every SIMD backend.
 //! * **Groups ordered lazily.** The search opens a handful of groups per
 //!   list, so the keys are heapified (`O(groups)`) rather than sorted, and
 //!   a group costs `O(log groups)` only when the cursor actually moves past
@@ -64,16 +65,14 @@
 //! is a heap sort, a constant factor slower than the single sort it replaces.
 
 use crate::transform::TransformedSpace;
-use gem_core::math::dot_batch;
 use gem_ebsn::{EventId, UserId};
-use rayon::prelude::*;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 use std::time::Instant;
 
-/// Offline part of the TA engine: pair groups (CSR) and the interaction
-/// list.
+/// Offline part of the TA engine: the three orderings of a space's pairs —
+/// grouped by event, grouped by partner (both CSR, groups numbered by the
+/// space's row ids) and sorted by interaction.
 #[derive(Debug, Clone)]
 pub struct TaIndex {
     /// CSR offsets into `event_members`, one entry per distinct event + 1.
@@ -81,22 +80,12 @@ pub struct TaIndex {
     /// Pair indices grouped by event (flat; group `g` spans
     /// `event_offsets[g]..event_offsets[g+1]`).
     event_members: Vec<u32>,
-    /// Event vector of each event group, row-major `groups × K`.
-    event_vecs: Vec<f32>,
     /// CSR offsets into `partner_members`, one per distinct partner + 1.
     partner_offsets: Vec<u32>,
     /// Pair indices grouped by partner (flat).
     partner_members: Vec<u32>,
-    /// Partner vector of each partner group, row-major `groups × K`.
-    partner_vecs: Vec<f32>,
     /// All pair indices sorted by descending interaction value `u'ᵀx`.
     by_interaction: Vec<u32>,
-    /// Event group id of each pair (for O(1) random access).
-    event_gid: Vec<u32>,
-    /// Partner group id of each pair.
-    partner_gid: Vec<u32>,
-    /// Number of candidate pairs the index was built from.
-    pairs: usize,
 }
 
 /// Work counters from one TA query.
@@ -262,20 +251,6 @@ impl<'a> GroupCursor<'a> {
     }
 }
 
-/// First-seen-order group assignment, CSR membership tables and the
-/// per-group vector matrices for both axes. Sequential by construction
-/// (group ids depend on scan order).
-struct GroupTables {
-    event_offsets: Vec<u32>,
-    event_members: Vec<u32>,
-    event_vecs: Vec<f32>,
-    partner_offsets: Vec<u32>,
-    partner_members: Vec<u32>,
-    partner_vecs: Vec<f32>,
-    event_gid: Vec<u32>,
-    partner_gid: Vec<u32>,
-}
-
 /// Scatter pair indices into CSR (offsets + flat members) given each pair's
 /// group id. Members within a group stay in ascending pair order.
 fn csr_from_gids(gids: &[u32], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
@@ -295,97 +270,43 @@ fn csr_from_gids(gids: &[u32], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
     (offsets, members)
 }
 
-fn build_group_tables(space: &TransformedSpace) -> GroupTables {
-    let n = space.len();
-    let k = space.k();
-    let mut event_vecs = Vec::new();
-    let mut partner_vecs = Vec::new();
-    let mut event_slot: HashMap<EventId, u32> = HashMap::new();
-    let mut partner_slot: HashMap<UserId, u32> = HashMap::new();
-    let mut event_gid = vec![0u32; n];
-    let mut partner_gid = vec![0u32; n];
-    for i in 0..n {
-        let (partner, event) = space.pair(i);
-        let point = space.point(i);
-        let next = event_slot.len() as u32;
-        event_gid[i] = *event_slot.entry(event).or_insert_with(|| {
-            event_vecs.extend_from_slice(&point[0..k]);
-            next
-        });
-        let next = partner_slot.len() as u32;
-        partner_gid[i] = *partner_slot.entry(partner).or_insert_with(|| {
-            partner_vecs.extend_from_slice(&point[k..2 * k]);
-            next
-        });
-    }
-    let (event_offsets, event_members) = csr_from_gids(&event_gid, event_slot.len());
-    let (partner_offsets, partner_members) = csr_from_gids(&partner_gid, partner_slot.len());
-    GroupTables {
-        event_offsets,
-        event_members,
-        event_vecs,
-        partner_offsets,
-        partner_members,
-        partner_vecs,
-        event_gid,
-        partner_gid,
-    }
-}
-
-/// Pair indices by descending interaction value: parallel key extraction,
-/// sequential sort (deterministic at any thread count).
-fn interaction_order(space: &TransformedSpace) -> Vec<u32> {
-    let n = space.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let k = space.k();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let keys: Vec<f32> =
-        order.par_iter().with_min_len(4096).map(|&i| space.point(i as usize)[2 * k]).collect();
+/// Pair indices by descending interaction value, ties by ascending index.
+fn interaction_order(keys: &[f32]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| keys[b as usize].total_cmp(&keys[a as usize]).then(a.cmp(&b)));
     order
 }
 
 impl TaIndex {
-    /// Approximate resident bytes of the index arrays (`u32` tables plus
-    /// the two `f32` group matrices). Input to the [`crate::MemBudget`]
-    /// accounting of a budgeted build.
+    /// Approximate resident bytes of the index arrays (all `u32`: 12 bytes
+    /// per pair plus the two offset tables). Input to the
+    /// [`crate::MemBudget`] accounting of a budgeted build.
     pub fn bytes(&self) -> usize {
         (self.event_offsets.len()
             + self.event_members.len()
-            + self.event_vecs.len()
             + self.partner_offsets.len()
             + self.partner_members.len()
-            + self.partner_vecs.len()
-            + self.by_interaction.len()
-            + self.event_gid.len()
-            + self.partner_gid.len())
+            + self.by_interaction.len())
             * 4
     }
 
     /// Build the offline structures (`O(n log n)` in the number of pairs).
     ///
-    /// The two independent passes — first-seen group assignment (inherently
-    /// sequential: group ids depend on scan order) and the interaction-sorted
-    /// list (parallel key extraction + sequential sort) — run concurrently;
-    /// the result is bit-identical at any thread count.
+    /// The two independent passes — scattering pairs into the group tables
+    /// and sorting the interaction list — run concurrently; the result is
+    /// bit-identical at any thread count.
     pub fn build(space: &TransformedSpace) -> Self {
-        let n = space.len();
-        let (groups, by_interaction) =
-            rayon::join(|| build_group_tables(space), || interaction_order(space));
-        Self {
-            event_offsets: groups.event_offsets,
-            event_members: groups.event_members,
-            event_vecs: groups.event_vecs,
-            partner_offsets: groups.partner_offsets,
-            partner_members: groups.partner_members,
-            partner_vecs: groups.partner_vecs,
-            by_interaction,
-            event_gid: groups.event_gid,
-            partner_gid: groups.partner_gid,
-            pairs: n,
-        }
+        let (groups, by_interaction) = rayon::join(
+            || {
+                (
+                    csr_from_gids(&space.event_gid, space.num_events()),
+                    csr_from_gids(&space.partner_gid, space.num_partners()),
+                )
+            },
+            || interaction_order(&space.interaction),
+        );
+        let ((event_offsets, event_members), (partner_offsets, partner_members)) = groups;
+        Self { event_offsets, event_members, partner_offsets, partner_members, by_interaction }
     }
 
     /// Number of distinct candidate events.
@@ -479,7 +400,11 @@ impl TaIndex {
         deadline: Option<Instant>,
     ) -> TaSearch {
         assert_eq!(q.len(), space.dim(), "query dimensionality mismatch");
-        assert_eq!(self.pairs, space.len(), "index was built from a space of different size");
+        assert_eq!(
+            self.by_interaction.len(),
+            space.len(),
+            "index was built from a space of different size"
+        );
         let mut stats = TaStats::default();
         // On deadline expiry `cutoff` becomes the final threshold: only heap
         // entries strictly above it are provably part of the exact top-n.
@@ -498,15 +423,10 @@ impl TaIndex {
                 cutoff: f32::INFINITY,
             };
         }
-        let k = space.k();
-
         // Per-query composite keys: A over distinct events, B over distinct
-        // partners. O((|X| + |U|)·K) over the contiguous group matrices,
-        // into reused buffers; then O(|X| + |U|) to heapify them.
-        scratch.a_keys.resize(self.num_events(), 0.0);
-        dot_batch(&q[0..k], &self.event_vecs, &mut scratch.a_keys);
-        scratch.b_keys.resize(self.num_partners(), 0.0);
-        dot_batch(&q[0..k], &self.partner_vecs, &mut scratch.b_keys);
+        // partners. O((|X| + |U|)·K) over the space's contiguous row
+        // matrices, into reused buffers; then O(|X| + |U|) to heapify them.
+        space.fill_keys(q, &mut scratch.a_keys, &mut scratch.b_keys);
         heapify_groups(&mut scratch.a_groups, &scratch.a_keys);
         heapify_groups(&mut scratch.b_groups, &scratch.b_keys);
 
@@ -533,7 +453,12 @@ impl TaIndex {
 
         let heap = &mut scratch.heap;
         heap.clear();
-        let c_value = |idx: u32| space.point(idx as usize)[2 * k];
+        let qw = q[2 * space.k()];
+        // C term of the next unpopped C-list entry: bounds every unseen pair's.
+        let c_bound = |c_pos: usize| {
+            let next = self.by_interaction.get(c_pos);
+            next.map_or(f32::NEG_INFINITY, |&i| space.interaction[i as usize] * qw)
+        };
 
         let mut round = 0u32;
 
@@ -546,13 +471,8 @@ impl TaIndex {
             // sorted access instead of running 7 full unpolled rounds.
             if let Some(d) = deadline {
                 if round.is_multiple_of(8) && Instant::now() >= d {
-                    let c_bound = if c_pos < self.by_interaction.len() {
-                        c_value(self.by_interaction[c_pos]) * q[2 * k]
-                    } else {
-                        f32::NEG_INFINITY
-                    };
                     completion = TaCompletion::Degraded;
-                    cutoff = a_cursor.bound() + b_cursor.bound() + c_bound;
+                    cutoff = a_cursor.bound() + b_cursor.bound() + c_bound(c_pos);
                     break;
                 }
                 round = round.wrapping_add(1);
@@ -583,9 +503,7 @@ impl TaIndex {
                     continue;
                 }
                 stats.scored += 1;
-                let score = scratch.a_keys[self.event_gid[idx as usize] as usize]
-                    + scratch.b_keys[self.partner_gid[idx as usize] as usize]
-                    + c_value(idx) * q[2 * k];
+                let score = space.score(idx as usize, &scratch.a_keys, &scratch.b_keys, qw);
                 if heap.len() < n {
                     heap.push(HeapEntry { score, idx });
                 } else if let Some(worst) = heap.peek() {
@@ -600,12 +518,7 @@ impl TaIndex {
             }
             // Threshold: no unseen pair can beat A_cur + B_cur + C_cur.
             if heap.len() == n {
-                let c_bound = if c_pos < self.by_interaction.len() {
-                    c_value(self.by_interaction[c_pos]) * q[2 * k]
-                } else {
-                    f32::NEG_INFINITY
-                };
-                let threshold = a_cursor.bound() + b_cursor.bound() + c_bound;
+                let threshold = a_cursor.bound() + b_cursor.bound() + c_bound(c_pos);
                 let min_top = heap.peek().expect("heap is non-empty").score;
                 if min_top >= threshold {
                     break;
@@ -690,9 +603,11 @@ mod full_sort {
         // them yields the group's key.
         let mut a_keys = vec![0.0f32; index.num_events()];
         let mut b_keys = vec![0.0f32; index.num_partners()];
+        let (event_gid, partner_gid) = (&space.event_gid, &space.partner_gid);
         for i in 0..space.len() {
-            a_keys[index.event_gid[i] as usize] = dot(&q[0..k], &space.point(i)[0..k]);
-            b_keys[index.partner_gid[i] as usize] = dot(&q[0..k], &space.point(i)[k..2 * k]);
+            let point = space.point(i);
+            a_keys[event_gid[i] as usize] = dot(&q[0..k], &point[0..k]);
+            b_keys[partner_gid[i] as usize] = dot(&q[0..k], &point[k..2 * k]);
         }
         let (mut a_order, mut b_order) = (Vec::new(), Vec::new());
         fill_order(&mut a_order, &a_keys);
@@ -714,7 +629,7 @@ mod full_sort {
             within_pos: 0,
         };
         let mut c_pos = 0usize;
-        let c_value = |idx: u32| space.point(idx as usize)[2 * k] * q[2 * k];
+        let c_value = |idx: u32| space.interaction[idx as usize] * q[2 * k];
         let mut seen = vec![false; space.len()];
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         loop {
@@ -739,8 +654,8 @@ mod full_sort {
                     continue;
                 }
                 stats.scored += 1;
-                let score = a_keys[index.event_gid[idx as usize] as usize]
-                    + b_keys[index.partner_gid[idx as usize] as usize]
+                let score = a_keys[event_gid[idx as usize] as usize]
+                    + b_keys[partner_gid[idx as usize] as usize]
                     + c_value(idx);
                 if heap.len() < n {
                     heap.push(HeapEntry { score, idx });
@@ -1066,17 +981,16 @@ mod tests {
         for g in 0..index.num_events() {
             let span = &index.event_members
                 [index.event_offsets[g] as usize..index.event_offsets[g + 1] as usize];
-            assert!(span.iter().all(|&i| index.event_gid[i as usize] as usize == g));
+            assert!(span.iter().all(|&i| space.event_gid[i as usize] as usize == g));
         }
-        // Row `g` of each group matrix is the vector every member of group
-        // `g` carries in the transformed space.
+        // The point rebuilt from rows `event_gid` / `partner_gid` of the
+        // space's matrices carries the pair's own model vectors.
         let k = space.k();
-        assert_eq!(index.event_vecs.len(), index.num_events() * k);
-        assert_eq!(index.partner_vecs.len(), index.num_partners() * k);
+        assert_eq!((space.num_events(), space.num_partners()), (2, 3));
         for i in 0..space.len() {
-            let (eg, pg) = (index.event_gid[i] as usize, index.partner_gid[i] as usize);
-            assert_eq!(&index.event_vecs[eg * k..(eg + 1) * k], &space.point(i)[0..k]);
-            assert_eq!(&index.partner_vecs[pg * k..(pg + 1) * k], &space.point(i)[k..2 * k]);
+            let (partner, event) = space.pair(i);
+            assert_eq!(&space.point(i)[0..k], model.event_vec(event));
+            assert_eq!(&space.point(i)[k..2 * k], model.user_vec(partner));
         }
     }
 
@@ -1171,8 +1085,9 @@ mod proptests {
             let (ta, _) = index.top_n_with(&space, &q, n, |_, _| true, &mut scratch);
             let bf = brute.top_n(&q, n, |_, _| true);
             prop_assert_eq!(ta.len(), bf.len());
+            // One scoring expression for both: equal bits, rank by rank.
             for (a, b) in ta.iter().zip(&bf) {
-                prop_assert!((a.0 - b.0).abs() < 1e-5, "u={} ta {:?} vs bf {:?}", u, a, b);
+                prop_assert_eq!(a.0.to_bits(), b.0.to_bits(), "u={} ta {:?} vs bf {:?}", u, a, b);
             }
         }
         Ok(())
