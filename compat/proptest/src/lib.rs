@@ -193,7 +193,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         size: core::ops::Range<usize>,

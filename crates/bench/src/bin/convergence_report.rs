@@ -36,10 +36,10 @@
 //!    best-of-trials steps/sec must agree within 2% (re-measured a
 //!    bounded number of times first, CI machines are noisy).
 //! 4. **Three-layer trace** — the tracer that watched both training runs
-//!    also watches a [`RecommendationEngine::build_traced`] over the
-//!    GEM-A model and a burst of served queries, then everything drains
-//!    into `convergence.trace.json` (Chrome trace-event JSON: load it at
-//!    `ui.perfetto.dev` or `chrome://tracing`). The file is re-parsed
+//!    also watches a traced [`RecommendationEngine::build_within_budget`]
+//!    over the GEM-A model and a burst of served queries, then everything
+//!    drains into `convergence.trace.json` (Chrome trace-event JSON: load
+//!    it at `ui.perfetto.dev` or `chrome://tracing`). The file is re-parsed
 //!    with `gem_obs::json` and must contain spans from all three layers
 //!    (`train.*`, `build.*`, `serve.*`) — including the per-epoch flame
 //!    nesting (`train.run` ⊇ `train.epoch` ⊇ `train.phase.*`) — before
@@ -61,7 +61,9 @@ use gem_core::{GemTrainer, TrainJournal, TrainerMetrics};
 use gem_ebsn::{TrainingGraphs, UserId};
 use gem_eval::{eval_event_rec, EvalConfig};
 use gem_obs::{JsonValue, MetricsRegistry, TraceSink, TraceStreamWriter, Tracer};
-use gem_query::{EngineMetrics, Method, RecommendationEngine, ServeScratch, ServeTracing};
+use gem_query::{
+    EngineMetrics, MemBudget, Method, RecommendationEngine, ServeScratch, ServeTracing,
+};
 use std::time::Instant;
 
 /// One variant's journaled run, reduced to the numbers the report needs.
@@ -241,14 +243,16 @@ fn trace_serving_layer(
     let registry = MetricsRegistry::new();
     // slow_query_ns = 0: promote every span to full detail — this burst is
     // small and the report wants arguments to inspect.
-    let engine = RecommendationEngine::build_traced(
+    let (engine, _) = RecommendationEngine::build_within_budget(
         trainer.model(),
         &partners,
         &events,
         prune_k,
+        MemBudget::fail_at_mib(256),
         EngineMetrics::register(&registry),
         ServeTracing::new(tracer.clone(), 0),
-    );
+    )
+    .expect("the 1/scale Beijing engine fits 256 MiB");
     let mut scratch = ServeScratch::new();
     for i in 0..queries {
         let user = UserId(((i * 97) % env.dataset.num_users) as u32);

@@ -44,9 +44,16 @@ use gem_bench::{Args, City, ExperimentEnv, Variant};
 use gem_core::math::{dot, dot_batch};
 use gem_ebsn::UserId;
 use gem_obs::MetricsRegistry;
-use gem_query::{EngineMetrics, Method, RecommendationEngine, ServeScratch};
+use gem_query::{
+    EngineMetrics, MemBudget, Method, RecommendationEngine, ServeScratch, ServeTracing,
+};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
+
+/// Fail-fast ceiling on the instrumented engines' candidate + space + index
+/// bytes: the full-size Beijing leg at `--prune-k 20` accounts well under
+/// it, so a build only trips it if the per-pair layout regresses.
+const ENGINE_BUDGET_MIB: usize = 256;
 
 /// Scalar reference dot product (the pre-optimization kernel shape).
 fn naive_dot(a: &[f32], b: &[f32]) -> f32 {
@@ -348,13 +355,16 @@ fn run_smoke(args: &Args) {
         (0..queries).map(|i| UserId(((i * 97) % env.dataset.num_users) as u32)).collect();
 
     let registry = MetricsRegistry::new();
-    let instrumented = RecommendationEngine::build_with_metrics(
+    let (instrumented, _) = RecommendationEngine::build_within_budget(
         model.clone(),
         &partners,
         &events,
         prune_k,
+        MemBudget::fail_at_mib(ENGINE_BUDGET_MIB),
         EngineMetrics::register(&registry),
-    );
+        ServeTracing::disabled(),
+    )
+    .expect("engine fits its budget");
     let noop = RecommendationEngine::build(model, &partners, &events, prune_k);
 
     let mut qps_noop = best_qps(&noop, &users, top_n, Method::Ta, trials, window);
@@ -478,13 +488,16 @@ fn main() {
     let events = env.split.test_events.clone();
     let registry = MetricsRegistry::new();
     let build_start = Instant::now();
-    let engine = RecommendationEngine::build_with_metrics(
+    let (engine, _) = RecommendationEngine::build_within_budget(
         model,
         &partners,
         &events,
         prune_k,
+        MemBudget::fail_at_mib(ENGINE_BUDGET_MIB),
         EngineMetrics::register(&registry),
-    );
+        ServeTracing::disabled(),
+    )
+    .expect("engine fits its budget");
     let build_ms = build_start.elapsed().as_secs_f64() * 1e3;
     println!(
         "  {} partners x {} events -> {} candidate pairs in {:.1} ms ({:.1} MiB)",

@@ -43,7 +43,7 @@ const SIGMOID_LUT_RANGE: f32 = 8.0;
 /// pair plus `2M` noise pairs at the default `M = 2`); each call costs a
 /// libm `exp`. The LUT replaces that with one multiply-add index
 /// computation and a linear interpolation between two adjacent table
-/// entries: [`SIGMOID_LUT_SIZE`] intervals over `[-8, 8]`, tails clamped to
+/// entries: `SIGMOID_LUT_SIZE` intervals over `[-8, 8]`, tails clamped to
 /// the table ends.
 ///
 /// Accuracy: interpolation error is bounded by `h²·max|σ″|/8 ≈ 3e-6`

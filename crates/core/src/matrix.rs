@@ -108,7 +108,7 @@ impl AtomicMatrix {
         }
     }
 
-    /// Overwrite a row from `buf`, in [`LANES`]-wide unrolled blocks.
+    /// Overwrite a row from `buf`, in `LANES`-wide unrolled blocks.
     #[inline]
     pub fn write_row(&self, row: usize, buf: &[f32]) {
         debug_assert_eq!(buf.len(), self.dim);

@@ -134,7 +134,7 @@ impl TraceStreamWriter {
     }
 
     /// [`TraceStreamWriter::create`] with an explicit chunk size. The
-    /// chunk is clamped to fit the cap (and to [`MIN_CHUNK_BYTES`]); the
+    /// chunk is clamped to fit the cap (and to `MIN_CHUNK_BYTES`); the
     /// slot count is whatever the cap then allows.
     pub fn create_with_chunk<P: AsRef<Path>>(
         path: P,

@@ -42,25 +42,12 @@ impl<'s> BruteForce<'s> {
         Self { space }
     }
 
-    /// Exact top-`n` by scanning all candidates. Candidates rejected by
-    /// `filter` are skipped. Results are sorted by descending score.
-    /// Allocates fresh working memory; serving loops should call
-    /// [`Self::top_n_with`] with a reused [`BruteScratch`].
-    pub fn top_n(
-        &self,
-        q: &[f32],
-        n: usize,
-        filter: impl FnMut(UserId, EventId) -> bool,
-    ) -> Vec<(f32, UserId, EventId)> {
-        let mut scratch = BruteScratch::new();
-        self.top_n_with(q, n, filter, &mut scratch)
-    }
-
-    /// [`Self::top_n`] with caller-owned scratch. The A and B keys are
-    /// filled by the same two `dot_batch` sweeps over the space's row
-    /// matrices that TA runs; every pair the filter admits is then scored
-    /// by three lookups and selected from; only the final `n` results are
-    /// copied out.
+    /// Exact top-`n` by scanning all candidates, with caller-owned scratch.
+    /// Candidates rejected by `filter` are skipped. Results are sorted by
+    /// descending score. The A and B keys are filled by the same two
+    /// `dot_batch` sweeps over the space's row matrices that TA runs; every
+    /// pair the filter admits is then scored by three lookups and selected
+    /// from; only the final `n` results are copied out.
     pub fn top_n_with(
         &self,
         q: &[f32],
@@ -115,7 +102,8 @@ mod tests {
         let s = space();
         let model = toy_model();
         let q = TransformedSpace::query_vector(&model, UserId(0));
-        let results = BruteForce::new(&s).top_n(&q, 100, |_, _| true);
+        let results =
+            BruteForce::new(&s).top_n_with(&q, 100, |_, _| true, &mut BruteScratch::new());
         assert_eq!(results.len(), 6);
     }
 
@@ -125,8 +113,8 @@ mod tests {
         let model = toy_model();
         let q = TransformedSpace::query_vector(&model, UserId(1));
         let brute = BruteForce::new(&s);
-        let top1 = brute.top_n(&q, 1, |_, _| true);
-        let all = brute.top_n(&q, 6, |_, _| true);
+        let top1 = brute.top_n_with(&q, 1, |_, _| true, &mut BruteScratch::new());
+        let all = brute.top_n_with(&q, 6, |_, _| true, &mut BruteScratch::new());
         assert_eq!(top1[0], all[0]);
     }
 
@@ -135,7 +123,8 @@ mod tests {
         let s = space();
         let model = toy_model();
         let q = TransformedSpace::query_vector(&model, UserId(2));
-        let results = BruteForce::new(&s).top_n(&q, 10, |p, _| p != UserId(2));
+        let results =
+            BruteForce::new(&s).top_n_with(&q, 10, |p, _| p != UserId(2), &mut BruteScratch::new());
         assert_eq!(results.len(), 4);
         assert!(results.iter().all(|r| r.1 != UserId(2)));
     }
@@ -145,7 +134,7 @@ mod tests {
         let s = space();
         let model = toy_model();
         let q = TransformedSpace::query_vector(&model, UserId(0));
-        let results = BruteForce::new(&s).top_n(&q, 6, |_, _| true);
+        let results = BruteForce::new(&s).top_n_with(&q, 6, |_, _| true, &mut BruteScratch::new());
         for w in results.windows(2) {
             assert!(w[0].0 > w[1].0 || (w[0].0 == w[1].0 && (w[0].1, w[0].2) < (w[1].1, w[1].2)));
         }

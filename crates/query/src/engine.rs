@@ -1,21 +1,28 @@
-//! End-to-end online recommendation facade.
+//! End-to-end online recommendation engine.
 //!
 //! Wires the §IV pipeline together: prune candidates (top-k events per
-//! partner) → transform to the `2K+1` space → build the TA index → serve
-//! top-n `(partner, event)` recommendations per target user via either
-//! GEM-TA or GEM-BF.
+//! partner) → transform them into the factored space (one `C = u'ᵀx` per
+//! pair, one shared row per distinct event and partner) → build the TA
+//! index → serve top-n `(partner, event)` recommendations per target user
+//! via either GEM-TA or GEM-BF.
+//!
+//! One query core serves every entry point: the plain engine's
+//! [`RecommendationEngine::try_recommend_with`] and the churn-overlaid
+//! [`crate::EngineSnapshot`] queries both call it, so user validation, the
+//! delta-overlay merge and the `serve.*` metrics and spans exist once.
 
 use crate::brute::{BruteForce, BruteScratch};
 use crate::budget::{BuildError, BuildReport, MemBudget};
 use crate::metrics::EngineMetrics;
-use crate::prune::top_k_events_per_partner;
-use crate::ta::{TaCompletion, TaIndex, TaScratch, TaStats};
+use crate::prune::{top_k_events_per_partner, unique_partners};
+use crate::ta::{TaCompletion, TaIndex, TaScratch, TaSearch, TaStats};
 use crate::transform::TransformedSpace;
-use gem_core::{Checkpointer, GemModel, PersistError};
+use gem_core::math::dot;
+use gem_core::GemModel;
 use gem_ebsn::{EventId, UserId};
 use gem_obs::Tracer;
 use rayon::prelude::*;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Span-tracing configuration for the serving path.
 ///
@@ -123,24 +130,14 @@ impl DeadlineRecommendations {
     }
 }
 
-/// Where [`RecommendationEngine::build_from_checkpoints`] got its model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckpointProvenance {
-    /// The checkpoint generation the serving model came from.
-    pub generation: u64,
-    /// Newer generations that were skipped because they failed validation
-    /// (torn write, checksum mismatch); empty on the happy path.
-    pub skipped: Vec<u64>,
-}
-
 /// Reusable per-thread serving state: the query vector, the TA working
 /// memory and the brute-force score table. One instance per serving thread
 /// removes all per-query allocation (beyond the returned result vector).
 #[derive(Debug, Default)]
 pub struct ServeScratch {
-    pub(crate) q: Vec<f32>,
-    pub(crate) ta: TaScratch,
-    pub(crate) brute: BruteScratch,
+    q: Vec<f32>,
+    ta: TaScratch,
+    brute: BruteScratch,
 }
 
 impl ServeScratch {
@@ -156,29 +153,30 @@ fn phase_start(tracer: &Tracer, t: &Instant) -> u64 {
 }
 
 /// The tail of every engine build, one-shot or incremental: transform the
-/// pruned `candidates`, index the space, and account for both — `build.*`
-/// spans on `tracer`, phase timings and resident bytes in the `build.*`
-/// gauges, and a hard byte check after each phase when `limit` is set.
-/// `Err` is only reachable with a limit.
+/// pruned `candidates`, index the space, account for both — `build.*`
+/// spans on `tracing`'s tracer, phase timings and resident bytes in the
+/// `build.*` gauges, and a hard byte check after each phase when `limit` is
+/// set — and return the engine. `Err` is only reachable with a limit.
 pub(crate) fn index_candidates(
-    model: &GemModel,
+    model: GemModel,
     candidates: &[(UserId, EventId)],
     top_k: usize,
     limit: Option<usize>,
-    metrics: &EngineMetrics,
-    tracer: &Tracer,
-) -> Result<(TransformedSpace, TaIndex, BuildReport), BuildError> {
+    metrics: EngineMetrics,
+    tracing: ServeTracing,
+) -> Result<(RecommendationEngine, BuildReport), BuildError> {
     let check = |phase: &'static str, used: usize| match limit {
         Some(limit_bytes) if used > limit_bytes => {
             Err(BuildError::BudgetExceeded { phase, needed_bytes: used, limit_bytes })
         }
         _ => Ok(()),
     };
+    let tracer = &tracing.tracer;
     let candidate_bytes = std::mem::size_of_val(candidates);
     check("prune", candidate_bytes)?;
 
     let t1 = Instant::now();
-    let space = TransformedSpace::build(model, candidates);
+    let space = TransformedSpace::build(&model, candidates);
     let transform_ns = t1.elapsed().as_nanos() as u64;
     metrics.build_transform_ns.set(transform_ns as f64);
     tracer.record_span(
@@ -224,63 +222,42 @@ pub(crate) fn index_candidates(
         total_bytes,
         limit_bytes: limit,
     };
-    Ok((space, index, report))
+    Ok((RecommendationEngine { model, space, index, metrics, tracing }, report))
 }
 
 /// A ready-to-serve recommendation engine over a trained model.
 ///
 /// The engine is built offline from a model snapshot, a partner pool, an
 /// event pool (typically the upcoming/cold-start events) and the pruning
-/// parameter `k`.
+/// parameter `k`. A partner listed more than once is kept once, at its
+/// first position, so every candidate pair is served at most once.
 pub struct RecommendationEngine {
-    model: GemModel,
+    pub(crate) model: GemModel,
     space: TransformedSpace,
     index: TaIndex,
-    metrics: EngineMetrics,
+    pub(crate) metrics: EngineMetrics,
     tracing: ServeTracing,
 }
 
 impl RecommendationEngine {
-    /// Build the engine: prune, transform, index. No instrumentation; see
-    /// [`Self::build_with_metrics`] for the observable variant.
+    /// Build the engine: prune, transform, index. No instrumentation and no
+    /// byte ceiling; see [`Self::build_within_budget`] for both.
     pub fn build(
         model: GemModel,
         partners: &[UserId],
         events: &[EventId],
         top_k_events: usize,
     ) -> Self {
-        Self::build_with_metrics(model, partners, events, top_k_events, EngineMetrics::disabled())
-    }
-
-    /// [`Self::build`] with gem-obs instrumentation: the three build phases
-    /// record their wall-clock into the `build.*` gauges, and every query
-    /// served through the engine records into the `serve.*` metrics.
-    pub fn build_with_metrics(
-        model: GemModel,
-        partners: &[UserId],
-        events: &[EventId],
-        top_k_events: usize,
-        metrics: EngineMetrics,
-    ) -> Self {
-        Self::build_traced(model, partners, events, top_k_events, metrics, ServeTracing::disabled())
-    }
-
-    /// [`Self::build_with_metrics`] plus span tracing: the three build
-    /// phases additionally emit `build.prune` / `build.transform` /
-    /// `build.index` spans (category `build`), and every query served
-    /// through the engine emits a `serve.*` span per
-    /// [`ServeTracing`]'s two-tier policy.
-    pub fn build_traced(
-        model: GemModel,
-        partners: &[UserId],
-        events: &[EventId],
-        top_k_events: usize,
-        metrics: EngineMetrics,
-        tracing: ServeTracing,
-    ) -> Self {
-        let (engine, _report) =
-            Self::build_phases(model, partners, events, top_k_events, metrics, tracing, None)
-                .expect("unbudgeted build cannot exceed a budget");
+        let (engine, _report) = Self::build_phases(
+            model,
+            partners,
+            events,
+            top_k_events,
+            None,
+            EngineMetrics::disabled(),
+            ServeTracing::disabled(),
+        )
+        .expect("unbudgeted build cannot exceed a budget");
         engine
     }
 
@@ -289,7 +266,11 @@ impl RecommendationEngine {
     /// over-budget build fails (or degrades `k`, per the policy) instead of
     /// silently blowing past `space_mib`. The returned [`BuildReport`]
     /// carries the per-component byte accounting; the same numbers land in
-    /// the `build.*_bytes` gauges of `metrics`.
+    /// the `build.*_bytes` gauges of `metrics`, beside the three phases'
+    /// wall-clock. With `tracing` on, the phases emit `build.prune` /
+    /// `build.transform` / `build.index` spans (category `build`), and every
+    /// query served through the engine emits a `serve.*` span per
+    /// [`ServeTracing`]'s two-tier policy.
     pub fn build_within_budget(
         model: GemModel,
         partners: &[UserId],
@@ -299,35 +280,29 @@ impl RecommendationEngine {
         metrics: EngineMetrics,
         tracing: ServeTracing,
     ) -> Result<(Self, BuildReport), BuildError> {
-        let effective_k =
-            budget.resolve_k(partners.len(), events.len(), model.dim, top_k_events)?;
-        let (engine, mut report) = Self::build_phases(
-            model,
-            partners,
-            events,
-            effective_k,
-            metrics,
-            tracing,
-            Some(budget),
-        )?;
-        report.requested_k = top_k_events;
-        Ok((engine, report))
+        Self::build_phases(model, partners, events, top_k_events, Some(budget), metrics, tracing)
     }
 
-    /// The build pipeline: prune, then [`index_candidates`]. `Err` is only
-    /// reachable with a budget.
+    /// The build pipeline: dedupe the partners, resolve `k` against the
+    /// budget, prune, then [`index_candidates`]. `Err` is only reachable
+    /// with a budget.
     fn build_phases(
         model: GemModel,
         partners: &[UserId],
         events: &[EventId],
         top_k_events: usize,
+        budget: Option<MemBudget>,
         metrics: EngineMetrics,
         tracing: ServeTracing,
-        budget: Option<MemBudget>,
     ) -> Result<(Self, BuildReport), BuildError> {
+        let partners = unique_partners(partners);
+        let k = match budget {
+            Some(b) => b.resolve_k(partners.len(), events.len(), model.dim, top_k_events)?,
+            None => top_k_events,
+        };
         let tracer = &tracing.tracer;
         let t0 = Instant::now();
-        let candidates = top_k_events_per_partner(&model, partners, events, top_k_events);
+        let candidates = top_k_events_per_partner(&model, &partners, events, k);
         let prune_ns = t0.elapsed().as_nanos() as u64;
         metrics.build_prune_ns.set(prune_ns as f64);
         tracer.record_span(
@@ -338,41 +313,10 @@ impl RecommendationEngine {
             &[("partners", partners.len() as u64), ("events", events.len() as u64)],
         );
         let limit = budget.map(|b| b.limit_bytes);
-        let (space, index, report) =
-            index_candidates(&model, &candidates, top_k_events, limit, &metrics, tracer)?;
-        Ok((Self { model, space, index, metrics, tracing }, report))
-    }
-
-    /// Build the engine from the newest *valid* generation in a checkpoint
-    /// directory.
-    ///
-    /// Generations are tried newest-first: a torn or bit-flipped snapshot
-    /// (crashed trainer, partial copy) fails its checksum and is skipped in
-    /// favour of the previous generation, so serving comes up on the most
-    /// recent model that actually validates. The returned
-    /// [`CheckpointProvenance`] says which generation won and which were
-    /// skipped. Fails only when *no* generation validates (or the directory
-    /// is unreadable).
-    pub fn build_from_checkpoints(
-        checkpoints: &Checkpointer,
-        partners: &[UserId],
-        events: &[EventId],
-        top_k_events: usize,
-        metrics: EngineMetrics,
-    ) -> Result<(Self, CheckpointProvenance), PersistError> {
-        let loaded = checkpoints
-            .load_latest()?
-            .ok_or(PersistError::Corrupt("no valid checkpoint generation"))?;
-        let provenance =
-            CheckpointProvenance { generation: loaded.generation, skipped: loaded.skipped };
-        let engine = Self::build_with_metrics(
-            loaded.checkpoint.model,
-            partners,
-            events,
-            top_k_events,
-            metrics,
-        );
-        Ok((engine, provenance))
+        let (engine, mut report) =
+            index_candidates(model, &candidates, k, limit, metrics, tracing)?;
+        report.requested_k = top_k_events;
+        Ok((engine, report))
     }
 
     /// The number of candidate pairs after pruning.
@@ -405,7 +349,7 @@ impl RecommendationEngine {
     ///
     /// # Panics
     /// Panics if `user` is outside the model's user matrix; request paths
-    /// that cannot guarantee validity should use [`Self::try_recommend`].
+    /// that cannot guarantee validity should use [`Self::try_recommend_with`].
     pub fn recommend(
         &self,
         user: UserId,
@@ -414,18 +358,6 @@ impl RecommendationEngine {
     ) -> (Vec<Recommendation>, TaStats) {
         let mut scratch = ServeScratch::new();
         self.recommend_with(user, n, method, &mut scratch)
-    }
-
-    /// Fallible [`Self::recommend`]: an out-of-range user id is an
-    /// [`Err`], not a panic.
-    pub fn try_recommend(
-        &self,
-        user: UserId,
-        n: usize,
-        method: Method,
-    ) -> Result<(Vec<Recommendation>, TaStats), ServeError> {
-        let mut scratch = ServeScratch::new();
-        self.try_recommend_with(user, n, method, &mut scratch)
     }
 
     /// [`Self::recommend`] with caller-owned scratch: no per-query
@@ -445,10 +377,10 @@ impl RecommendationEngine {
             .unwrap_or_else(|e| panic!("recommend({user:?}): {e}"))
     }
 
-    /// Fallible [`Self::recommend_with`]: validates the user id, serves the
-    /// query, and records latency and TA work into the engine's metrics.
-    /// Allocation-free beyond the returned recommendations once `scratch`
-    /// is warm.
+    /// Fallible [`Self::recommend_with`]: an out-of-range user id is an
+    /// [`Err`], not a panic. Records latency and TA work into the engine's
+    /// metrics. Allocation-free beyond the returned recommendations once
+    /// `scratch` is warm.
     pub fn try_recommend_with(
         &self,
         user: UserId,
@@ -456,49 +388,77 @@ impl RecommendationEngine {
         method: Method,
         scratch: &mut ServeScratch,
     ) -> Result<(Vec<Recommendation>, TaStats), ServeError> {
-        if user.index() >= self.model.num_users() {
+        let found = self.serve(user, n, method, None, |p, _| p != user, &[], &[], scratch)?;
+        Ok((found.recommendations, found.stats))
+    }
+
+    /// The query core behind every entry point: validate `user`, build the
+    /// query vector, run `method` over the base pairs `filter` admits (TA
+    /// stops early at `deadline`, see [`TaIndex::search`]), merge the delta
+    /// overlay, record the `serve.*` metrics and span, and map the results
+    /// to [`Recommendation`]s.
+    ///
+    /// The filter is generic so the plain engine's TA loop tests `p != user`
+    /// alone. Delta pairs are scored with the base pairs' `A + B + C`
+    /// decomposition, over the model rows the space's rows are copies of, so
+    /// their scores compare bit for bit. A degraded search left base pairs
+    /// unexamined, all of them at or below its cutoff: a delta pair joins
+    /// the verified prefix only if it beats that bound too.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn serve(
+        &self,
+        user: UserId,
+        n: usize,
+        method: Method,
+        deadline: Option<Instant>,
+        filter: impl FnMut(UserId, EventId) -> bool,
+        delta_pairs: &[(UserId, EventId)],
+        delta_c: &[f32],
+        scratch: &mut ServeScratch,
+    ) -> Result<DeadlineRecommendations, ServeError> {
+        let model = &self.model;
+        if user.index() >= model.num_users() {
             self.metrics.invalid_users.inc();
-            return Err(ServeError::UnknownUser { user, num_users: self.model.num_users() });
+            return Err(ServeError::UnknownUser { user, num_users: model.num_users() });
         }
         // Clock reads only when observability is on: the disabled path pays
         // one predictable branch.
         let traced = self.tracing.tracer.is_enabled();
         let started = if self.metrics.enabled || traced { Some(Instant::now()) } else { None };
         let span_start = if traced { self.tracing.tracer.now_ns() } else { 0 };
-        TransformedSpace::query_vector_into(&self.model, user, &mut scratch.q);
-        let (recs, stats) = match method {
+        TransformedSpace::query_vector_into(model, user, &mut scratch.q);
+        let TaSearch { mut results, mut stats, completion, cutoff } = match method {
             Method::Ta => {
-                let (results, stats) = self.index.top_n_with(
-                    &self.space,
-                    &scratch.q,
-                    n,
-                    |p, _| p != user,
-                    &mut scratch.ta,
-                );
-                (
-                    results
-                        .into_iter()
-                        .map(|(score, partner, event)| Recommendation { partner, event, score })
-                        .collect(),
-                    stats,
-                )
+                self.index.search(&self.space, &scratch.q, n, filter, &mut scratch.ta, deadline)
             }
-            Method::BruteForce => {
-                let results = BruteForce::new(&self.space).top_n_with(
+            Method::BruteForce => TaSearch {
+                results: BruteForce::new(&self.space).top_n_with(
                     &scratch.q,
                     n,
-                    |p, _| p != user,
+                    filter,
                     &mut scratch.brute,
-                );
-                (
-                    results
-                        .into_iter()
-                        .map(|(score, partner, event)| Recommendation { partner, event, score })
-                        .collect(),
-                    TaStats::default(),
-                )
-            }
+                ),
+                stats: TaStats::default(),
+                completion: TaCompletion::Exact,
+                cutoff: f32::NEG_INFINITY,
+            },
         };
+        if !delta_pairs.is_empty() {
+            let k = model.dim;
+            let (u, qw) = (&scratch.q[0..k], scratch.q[2 * k]);
+            for (&(p, x), &c) in delta_pairs.iter().zip(delta_c) {
+                if p == user {
+                    continue;
+                }
+                let score = dot(u, model.event_vec(x)) + dot(u, model.user_vec(p)) + c * qw;
+                stats.scored += 1;
+                if completion == TaCompletion::Exact || score > cutoff {
+                    results.push((score, p, x));
+                }
+            }
+            results.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
+            results.truncate(n);
+        }
         if let Some(t0) = started {
             let elapsed = t0.elapsed();
             if self.metrics.enabled {
@@ -510,6 +470,12 @@ impl RecommendationEngine {
                     Method::BruteForce => self.metrics.query_ns_bf.record_duration(elapsed),
                 }
                 self.metrics.queries.inc();
+                if deadline.is_some() {
+                    self.metrics.deadline_queries.inc();
+                    if completion == TaCompletion::Degraded {
+                        self.metrics.degraded.inc();
+                    }
+                }
             }
             if traced {
                 let ns = elapsed.as_nanos() as u64;
@@ -535,63 +501,6 @@ impl RecommendationEngine {
                 }
             }
         }
-        Ok((recs, stats))
-    }
-
-    /// Deadline-bounded TA query: serve `user`'s top-`n` within `budget`.
-    ///
-    /// Allocates fresh scratch per call; serving loops should use
-    /// [`Self::try_recommend_deadline_with`].
-    pub fn try_recommend_deadline(
-        &self,
-        user: UserId,
-        n: usize,
-        budget: Duration,
-    ) -> Result<DeadlineRecommendations, ServeError> {
-        let mut scratch = ServeScratch::new();
-        self.try_recommend_deadline_with(user, n, budget, &mut scratch)
-    }
-
-    /// [`Self::try_recommend_deadline`] with caller-owned scratch.
-    ///
-    /// The search runs GEM-TA with a wall-clock deadline of
-    /// `now + budget`. If the threshold proof lands in time the result is
-    /// exact; otherwise the query returns early with the verified prefix of
-    /// the top-n computed so far, tagged [`TaCompletion::Degraded`] (see
-    /// [`TaIndex::top_n_deadline_with`] for the guarantee). Every call
-    /// counts into `serve.deadline_queries`; expiries additionally count
-    /// into `serve.degraded`, alongside the usual `serve.*` query metrics.
-    pub fn try_recommend_deadline_with(
-        &self,
-        user: UserId,
-        n: usize,
-        budget: Duration,
-        scratch: &mut ServeScratch,
-    ) -> Result<DeadlineRecommendations, ServeError> {
-        if user.index() >= self.model.num_users() {
-            self.metrics.invalid_users.inc();
-            return Err(ServeError::UnknownUser { user, num_users: self.model.num_users() });
-        }
-        let started = if self.metrics.enabled { Some(Instant::now()) } else { None };
-        let deadline = Instant::now() + budget;
-        TransformedSpace::query_vector_into(&self.model, user, &mut scratch.q);
-        let (results, stats, completion) = self.index.top_n_deadline_with(
-            &self.space,
-            &scratch.q,
-            n,
-            |p, _| p != user,
-            deadline,
-            &mut scratch.ta,
-        );
-        if let Some(t0) = started {
-            self.metrics.query_ns_ta.record_duration(t0.elapsed());
-            self.metrics.queries.inc();
-            self.metrics.deadline_queries.inc();
-            if completion == TaCompletion::Degraded {
-                self.metrics.degraded.inc();
-            }
-            self.metrics.record_ta_work(&stats);
-        }
         let recommendations = results
             .into_iter()
             .map(|(score, partner, event)| Recommendation { partner, event, score })
@@ -608,8 +517,8 @@ impl RecommendationEngine {
     ///
     /// Each thread reuses one [`ServeScratch`] across the queries it owns,
     /// and users are assigned to threads as contiguous runs, so the output
-    /// is exactly `users.iter().map(|&u| self.try_recommend(u, n, method))`
-    /// — bit-identical at any thread count, including one.
+    /// is exactly [`Self::try_recommend_with`] per user in order —
+    /// bit-identical at any thread count, including one.
     pub fn recommend_batch(
         &self,
         users: &[UserId],
@@ -630,12 +539,31 @@ impl RecommendationEngine {
 mod tests {
     use super::*;
     use crate::transform::toy_model;
+    use crate::{EngineSnapshot, IncrementalEngine};
+    use std::time::Duration;
 
     fn engine(k: usize) -> RecommendationEngine {
         let model = toy_model();
         let partners: Vec<UserId> = (0..3).map(UserId).collect();
         let events: Vec<EventId> = (0..2).map(EventId).collect();
         RecommendationEngine::build(model, &partners, &events, k)
+    }
+
+    /// `engine(2)` with `metrics` and `tracing`, under a roomy budget.
+    fn observed_engine(metrics: EngineMetrics, tracing: ServeTracing) -> RecommendationEngine {
+        let partners: Vec<UserId> = (0..3).map(UserId).collect();
+        let events: Vec<EventId> = (0..2).map(EventId).collect();
+        let budget = MemBudget::fail_at_mib(64);
+        let build = RecommendationEngine::build_within_budget(
+            toy_model(),
+            &partners,
+            &events,
+            2,
+            budget,
+            metrics,
+            tracing,
+        );
+        build.expect("the toy engine fits 64 MiB").0
     }
 
     #[test]
@@ -715,9 +643,12 @@ mod tests {
     fn try_recommend_rejects_out_of_range_user() {
         let e = engine(2); // model has users 0..3
         for method in [Method::Ta, Method::BruteForce] {
-            let err = e.try_recommend(UserId(3), 5, method).unwrap_err();
+            let err =
+                e.try_recommend_with(UserId(3), 5, method, &mut ServeScratch::new()).unwrap_err();
             assert_eq!(err, ServeError::UnknownUser { user: UserId(3), num_users: 3 });
-            let err = e.try_recommend(UserId(u32::MAX), 5, method).unwrap_err();
+            let err = e
+                .try_recommend_with(UserId(u32::MAX), 5, method, &mut ServeScratch::new())
+                .unwrap_err();
             assert!(matches!(err, ServeError::UnknownUser { .. }));
             assert!(err.to_string().contains("unknown user"));
         }
@@ -748,16 +679,7 @@ mod tests {
     #[test]
     fn invalid_users_are_counted_in_metrics() {
         let reg = gem_obs::MetricsRegistry::new();
-        let model = toy_model();
-        let partners: Vec<UserId> = (0..3).map(UserId).collect();
-        let events: Vec<EventId> = (0..2).map(EventId).collect();
-        let e = RecommendationEngine::build_with_metrics(
-            model,
-            &partners,
-            &events,
-            2,
-            crate::EngineMetrics::register(&reg),
-        );
+        let e = observed_engine(EngineMetrics::register(&reg), ServeTracing::disabled());
         let users = [UserId(0), UserId(50), UserId(1), UserId(60)];
         let batch = e.recommend_batch(&users, 3, Method::Ta);
         assert_eq!(batch.iter().filter(|r| r.is_err()).count(), 2);
@@ -867,26 +789,38 @@ mod tests {
         assert_eq!(recs.len(), 5);
     }
 
-    // --- deadline-degraded serving ---
+    // --- deadline-degraded serving, through an unchurned snapshot ---
 
-    fn big_engine(nu: u32, nx: u32) -> RecommendationEngine {
+    /// An engine over every user and event of `model` at k = all events,
+    /// and the snapshot of an unchurned incremental engine over the same.
+    fn engine_and_snapshot(
+        model: GemModel,
+        metrics: EngineMetrics,
+    ) -> (RecommendationEngine, EngineSnapshot) {
+        let partners: Vec<UserId> = (0..model.num_users() as u32).map(UserId).collect();
+        let events: Vec<EventId> = (0..model.num_events() as u32).map(EventId).collect();
+        let k = events.len();
+        let inc = IncrementalEngine::build(model.clone(), &partners, &events, k, metrics);
+        (RecommendationEngine::build(model, &partners, &events, k), inc.snapshot())
+    }
+
+    fn signed_model(nu: u32, nx: u32) -> GemModel {
         use rand::RngExt;
         let dim = 8;
         let mut rng = gem_sampling::rng_from_seed(41);
         let users: Vec<f32> = (0..nu as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
         let events: Vec<f32> = (0..nx as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
-        let model = GemModel::from_raw(dim, users, events, vec![], vec![], vec![]);
-        let partners: Vec<UserId> = (0..nu).map(UserId).collect();
-        let ev: Vec<EventId> = (0..nx).map(EventId).collect();
-        RecommendationEngine::build(model, &partners, &ev, nx as usize)
+        GemModel::from_raw(dim, users, events, vec![], vec![], vec![])
     }
 
     #[test]
     fn generous_deadline_matches_exact_ta() {
-        let e = big_engine(60, 20);
+        let (e, snap) = engine_and_snapshot(signed_model(60, 20), EngineMetrics::disabled());
+        let mut s = ServeScratch::new();
         for u in [0u32, 17, 59] {
-            let got = e.try_recommend_deadline(UserId(u), 10, Duration::from_secs(60)).unwrap();
-            let (exact, stats) = e.try_recommend(UserId(u), 10, Method::Ta).unwrap();
+            let budget = Duration::from_secs(60);
+            let got = snap.try_top_n_deadline(UserId(u), 10, budget, &mut s).unwrap();
+            let (exact, stats) = e.try_recommend_with(UserId(u), 10, Method::Ta, &mut s).unwrap();
             assert_eq!(got.completion, crate::TaCompletion::Exact, "u={u}");
             assert!(!got.is_degraded());
             assert_eq!(got.recommendations, exact, "u={u}");
@@ -896,14 +830,15 @@ mod tests {
 
     #[test]
     fn zero_budget_degrades_to_a_prefix_of_the_exact_ranking() {
-        let e = big_engine(200, 60);
+        let (e, snap) = engine_and_snapshot(signed_model(200, 60), EngineMetrics::disabled());
+        let mut s = ServeScratch::new();
         let mut degraded = 0;
         for u in 0..10u32 {
-            let got = e.try_recommend_deadline(UserId(u), 20, Duration::ZERO).unwrap();
-            let (exact, _) = e.try_recommend(UserId(u), 20, Method::Ta).unwrap();
+            let got = snap.try_top_n_deadline(UserId(u), 20, Duration::ZERO, &mut s).unwrap();
+            let (exact, _) = e.try_recommend_with(UserId(u), 20, Method::Ta, &mut s).unwrap();
             assert!(got.recommendations.len() <= exact.len(), "u={u}");
             for (i, (g, x)) in got.recommendations.iter().zip(&exact).enumerate() {
-                assert!((g.score - x.score).abs() < 1e-5, "u={u} rank {i}: {g:?} vs {x:?}");
+                assert_eq!(g.score.to_bits(), x.score.to_bits(), "u={u} rank {i}: {g:?} vs {x:?}");
             }
             if got.is_degraded() {
                 degraded += 1;
@@ -917,22 +852,14 @@ mod tests {
     #[test]
     fn deadline_queries_and_degradations_are_counted() {
         let reg = gem_obs::MetricsRegistry::new();
-        let model = toy_model();
-        let partners: Vec<UserId> = (0..3).map(UserId).collect();
-        let events: Vec<EventId> = (0..2).map(EventId).collect();
-        let e = RecommendationEngine::build_with_metrics(
-            model,
-            &partners,
-            &events,
-            2,
-            crate::EngineMetrics::register(&reg),
-        );
+        let (_, snap) = engine_and_snapshot(toy_model(), EngineMetrics::register(&reg));
+        let mut s = ServeScratch::new();
         let mut degraded = 0u64;
         for u in 0..3u32 {
-            let got = e.try_recommend_deadline(UserId(u), 3, Duration::from_secs(60)).unwrap();
-            degraded += got.is_degraded() as u64;
+            let got = snap.try_top_n_deadline(UserId(u), 3, Duration::from_secs(60), &mut s);
+            degraded += got.unwrap().is_degraded() as u64;
         }
-        assert!(e.try_recommend_deadline(UserId(99), 3, Duration::from_secs(1)).is_err());
+        assert!(snap.try_top_n_deadline(UserId(99), 3, Duration::from_secs(1), &mut s).is_err());
         let snap = reg.snapshot();
         assert_eq!(snap.counter("serve.deadline_queries"), 3);
         assert_eq!(snap.counter("serve.degraded"), degraded);
@@ -948,18 +875,10 @@ mod tests {
     #[test]
     fn expired_deadline_is_empty_degraded_and_counted() {
         let reg = gem_obs::MetricsRegistry::new();
-        let model = toy_model();
-        let partners: Vec<UserId> = (0..3).map(UserId).collect();
-        let events: Vec<EventId> = (0..2).map(EventId).collect();
-        let e = RecommendationEngine::build_with_metrics(
-            model,
-            &partners,
-            &events,
-            2,
-            crate::EngineMetrics::register(&reg),
-        );
+        let (_, snap) = engine_and_snapshot(toy_model(), EngineMetrics::register(&reg));
+        let mut s = ServeScratch::new();
         for u in 0..3u32 {
-            let got = e.try_recommend_deadline(UserId(u), 3, Duration::ZERO).unwrap();
+            let got = snap.try_top_n_deadline(UserId(u), 3, Duration::ZERO, &mut s).unwrap();
             assert!(got.is_degraded(), "u={u}: zero budget served {got:?}");
             assert!(got.recommendations.is_empty(), "u={u}");
             assert_eq!(got.stats, TaStats::default(), "u={u}");
@@ -969,91 +888,33 @@ mod tests {
         assert_eq!(snap.counter("serve.degraded"), 3);
     }
 
-    // --- engine construction from a checkpoint directory ---
-
-    fn scratch_ckpt_dir(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("gem-engine-ckpt-{name}-{}", std::process::id()))
-    }
-
+    /// Regression: a partner listed twice put each of its pairs into the
+    /// candidate set twice, so one top-n served the same pair twice —
+    /// through TA, brute force and a snapshot alike. Repeats are dropped at
+    /// build entry, keeping the first occurrence.
     #[test]
-    fn build_from_checkpoints_serves_the_newest_valid_generation() {
-        use gem_core::{Checkpoint, Checkpointer};
-        let dir = scratch_ckpt_dir("fallback");
-        let _ = std::fs::remove_dir_all(&dir);
-        let sink = Checkpointer::new(&dir).unwrap();
-        let model = toy_model();
-        let base =
-            Checkpoint { seed: 7, steps: 100, adaptive_draws: [0; 10], model: model.clone() };
-        let g1 = sink.save(&base).unwrap();
-        let g2 = sink.save(&Checkpoint { steps: 200, ..base.clone() }).unwrap();
-        assert_eq!((g1, g2), (1, 2));
-
-        let partners: Vec<UserId> = (0..3).map(UserId).collect();
-        let events: Vec<EventId> = (0..2).map(EventId).collect();
-
-        // Happy path: newest generation validates and serves.
-        let (engine, prov) = RecommendationEngine::build_from_checkpoints(
-            &sink,
-            &partners,
-            &events,
-            2,
-            EngineMetrics::disabled(),
-        )
-        .unwrap();
-        assert_eq!(prov, CheckpointProvenance { generation: 2, skipped: vec![] });
-        assert!(engine.try_recommend(UserId(0), 3, Method::Ta).is_ok());
-
-        // Tear the newest generation: construction falls back to gen 1.
-        let g2_path = dir.join("gen-000002.ckpt");
-        let len = std::fs::metadata(&g2_path).unwrap().len();
-        let bytes = std::fs::read(&g2_path).unwrap();
-        std::fs::write(&g2_path, &bytes[..len as usize / 2]).unwrap();
-        let (engine, prov) = RecommendationEngine::build_from_checkpoints(
-            &sink,
-            &partners,
-            &events,
-            2,
-            EngineMetrics::disabled(),
-        )
-        .unwrap();
-        assert_eq!(prov, CheckpointProvenance { generation: 1, skipped: vec![2] });
-        let (recs, _) = engine.try_recommend(UserId(0), 3, Method::Ta).unwrap();
-        assert!(!recs.is_empty());
-
-        // Tear every generation: construction reports failure, not panic.
-        let g1_path = dir.join("gen-000001.ckpt");
-        std::fs::write(&g1_path, b"GEMK").unwrap();
-        let result = RecommendationEngine::build_from_checkpoints(
-            &sink,
-            &partners,
-            &events,
-            2,
-            EngineMetrics::disabled(),
-        );
-        match result {
-            Err(gem_core::PersistError::Corrupt(_)) => {}
-            Err(other) => panic!("expected Corrupt, got {other:?}"),
-            Ok(_) => panic!("expected failure when no generation validates"),
+    fn repeated_partner_serves_each_pair_once() {
+        let pool = [UserId(1), UserId(2), UserId(1)];
+        let events = [EventId(0), EventId(1)];
+        let e = RecommendationEngine::build(toy_model(), &pool, &events, 2);
+        let unique = RecommendationEngine::build(toy_model(), &pool[..2], &events, 2);
+        for method in [Method::Ta, Method::BruteForce] {
+            let want = unique.recommend(UserId(0), 6, method);
+            assert_eq!(e.recommend(UserId(0), 6, method), want, "{method:?}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
+        let inc =
+            IncrementalEngine::build(toy_model(), &pool, &events, 2, EngineMetrics::disabled());
+        let got = inc.snapshot().try_top_n(UserId(0), 6, &mut ServeScratch::new()).unwrap();
+        assert_eq!(got, unique.recommend(UserId(0), 6, Method::Ta).0);
+        assert_eq!(e.num_candidates(), 4);
     }
 
     // --- span tracing: build phases + two-tier per-query spans ---
 
     fn traced_engine(slow_query_ns: u64) -> (RecommendationEngine, gem_obs::Tracer) {
         let tracer = gem_obs::Tracer::new();
-        let model = toy_model();
-        let partners: Vec<UserId> = (0..3).map(UserId).collect();
-        let events: Vec<EventId> = (0..2).map(EventId).collect();
-        let e = RecommendationEngine::build_traced(
-            model,
-            &partners,
-            &events,
-            2,
-            crate::EngineMetrics::disabled(),
-            ServeTracing::new(tracer.clone(), slow_query_ns),
-        );
-        (e, tracer)
+        let tracing = ServeTracing::new(tracer.clone(), slow_query_ns);
+        (observed_engine(EngineMetrics::disabled(), tracing), tracer)
     }
 
     #[test]
@@ -1131,7 +992,8 @@ mod tests {
         let events: Vec<EventId> = (0..2).map(EventId).collect();
         let e = RecommendationEngine::build(model, &partners, &events, 2);
         // UserId(2) == partner pool len, still a valid model user.
-        let (recs, _) = e.try_recommend(UserId(2), 10, Method::Ta).unwrap();
+        let (recs, _) =
+            e.try_recommend_with(UserId(2), 10, Method::Ta, &mut ServeScratch::new()).unwrap();
         assert_eq!(recs.len(), 4); // 2 partners × 2 events, none filtered
         assert!(recs.iter().all(|r| r.partner != UserId(2)));
     }
@@ -1145,7 +1007,8 @@ mod tests {
         let events: Vec<EventId> = (0..2).map(EventId).collect();
         let e = RecommendationEngine::build(model, &partners, &events, 2);
         for method in [Method::Ta, Method::BruteForce] {
-            let (recs, _) = e.try_recommend(UserId(1), 10, method).unwrap();
+            let (recs, _) =
+                e.try_recommend_with(UserId(1), 10, method, &mut ServeScratch::new()).unwrap();
             assert!(recs.is_empty(), "{method:?}");
         }
     }
@@ -1173,15 +1036,18 @@ mod tests {
         let e = RecommendationEngine::build(model, &partners, &ev, 3);
         for u in 0..6u32 {
             for method in [Method::Ta, Method::BruteForce] {
-                let (recs, _) = e.try_recommend(UserId(u), 5, method).unwrap();
+                let (recs, _) =
+                    e.try_recommend_with(UserId(u), 5, method, &mut ServeScratch::new()).unwrap();
                 assert!(recs.len() <= 5);
                 assert!(recs.iter().all(|r| r.partner != UserId(u)));
             }
         }
         // Querying from a NaN user row: every score is NaN; still no panic,
         // and results are deterministic across repeated queries.
-        let (a, _) = e.try_recommend(UserId(1), 5, Method::Ta).unwrap();
-        let (b, _) = e.try_recommend(UserId(1), 5, Method::Ta).unwrap();
+        let (a, _) =
+            e.try_recommend_with(UserId(1), 5, Method::Ta, &mut ServeScratch::new()).unwrap();
+        let (b, _) =
+            e.try_recommend_with(UserId(1), 5, Method::Ta, &mut ServeScratch::new()).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!((x.partner, x.event), (y.partner, y.event));

@@ -28,22 +28,21 @@
 //!
 //! Ownership is split for the serving daemon: one maintenance thread owns
 //! the mutable [`IncrementalEngine`] master and periodically publishes an
-//! immutable [`EngineSnapshot`] (an `Arc` over the shared base plus copies
-//! of the small overlays) that any number of serving threads query
-//! concurrently.
+//! immutable [`EngineSnapshot`] (an `Arc` over the shared base
+//! [`RecommendationEngine`] plus copies of the small overlays) that any
+//! number of serving threads query concurrently. A snapshot query is the
+//! base engine's own query core, given the overlays.
 
 use crate::budget::{BuildError, MemBudget};
 use crate::engine::{
-    index_candidates, DeadlineRecommendations, Recommendation, ServeError, ServeScratch,
+    index_candidates, DeadlineRecommendations, Method, Recommendation, RecommendationEngine,
+    ServeError, ServeScratch, ServeTracing,
 };
 use crate::metrics::EngineMetrics;
-use crate::prune::{cmp_entry, partner_top};
-use crate::ta::{TaCompletion, TaIndex, TaSearch, TaStats};
-use crate::transform::TransformedSpace;
+use crate::prune::{cmp_entry, partner_top, unique_partners};
 use gem_core::math::dot;
 use gem_core::{EventScorer, GemModel};
 use gem_ebsn::{EventId, UserId};
-use gem_obs::Tracer;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -76,21 +75,15 @@ impl std::fmt::Display for MaintError {
 
 impl std::error::Error for MaintError {}
 
-/// Immutable base generation: model, transformed space and TA index built
-/// from one pruning pass. Shared by the master and all live snapshots.
-pub(crate) struct IndexBase {
-    pub(crate) model: GemModel,
-    pub(crate) space: TransformedSpace,
-    pub(crate) index: TaIndex,
-    pub(crate) partners: Vec<UserId>,
-}
-
 /// Mutable master of the incrementally-maintained engine. Owned by one
 /// maintenance thread; serving threads query [`EngineSnapshot`]s published
 /// via [`Self::snapshot`].
 pub struct IncrementalEngine {
-    base: Arc<IndexBase>,
-    metrics: EngineMetrics,
+    /// Immutable base generation, built from one pruning pass; shared by
+    /// the master and all live snapshots.
+    base: Arc<RecommendationEngine>,
+    /// The partner pool, repeats dropped.
+    partners: Vec<UserId>,
     top_k: usize,
     /// The prune-k the caller asked for. `top_k` can sit below this under a
     /// [`MemBudget`], and [`Self::rebuild`] re-resolves back toward it when
@@ -101,7 +94,7 @@ pub struct IncrementalEngine {
     budget: Option<MemBudget>,
     /// Live event ids, ascending.
     live: Vec<EventId>,
-    /// Per-partner pruned top-k (aligned with `base.partners`), each in
+    /// Per-partner pruned top-k (aligned with `partners`), each in
     /// ranking order. Invariant: `tops[i] == prune::partner_top(model,
     /// partners[i], live, min(top_k, live.len()))`.
     tops: Vec<Vec<(f32, EventId)>>,
@@ -128,7 +121,8 @@ impl IncrementalEngine {
         top_k: usize,
         metrics: EngineMetrics,
     ) -> Self {
-        Self::build_inner(model, partners, events, top_k, top_k, None, metrics)
+        Self::build_inner(model, partners, events, top_k, None, metrics)
+            .expect("an unbudgeted build cannot exceed a budget")
     }
 
     /// [`Self::build`] under a hard memory ceiling: the initial prune-k is
@@ -140,7 +134,7 @@ impl IncrementalEngine {
     ///
     /// # Errors
     /// [`BuildError::BudgetExceeded`] when even the smallest admissible
-    /// build does not fit (see [`MemBudget::resolve_k`] semantics).
+    /// build does not fit (see `MemBudget::resolve_k` semantics).
     pub fn build_within_budget(
         model: GemModel,
         partners: &[UserId],
@@ -149,39 +143,38 @@ impl IncrementalEngine {
         budget: MemBudget,
         metrics: EngineMetrics,
     ) -> Result<Self, BuildError> {
-        let mut live: Vec<EventId> = events.to_vec();
-        live.sort_unstable();
-        live.dedup();
-        let k = budget.resolve_k(partners.len(), live.len(), model.dim, top_k)?;
-        Ok(Self::build_inner(model, partners, &live, k, top_k, Some(budget), metrics))
+        Self::build_inner(model, partners, events, top_k, Some(budget), metrics)
     }
 
     fn build_inner(
         model: GemModel,
         partners: &[UserId],
         events: &[EventId],
-        top_k: usize,
         requested_k: usize,
         budget: Option<MemBudget>,
         metrics: EngineMetrics,
-    ) -> Self {
+    ) -> Result<Self, BuildError> {
+        let partners = unique_partners(partners);
         let mut live: Vec<EventId> = events.to_vec();
         live.sort_unstable();
         live.dedup();
+        let top_k = match budget {
+            Some(b) => b.resolve_k(partners.len(), live.len(), model.dim, requested_k)?,
+            None => requested_k,
+        };
         let take = top_k.min(live.len());
         let mut scored = Vec::with_capacity(live.len());
         let tops: Vec<Vec<(f32, EventId)>> = partners
             .iter()
             .map(|&p| partner_top(&model, p, &live, take, &mut scored).to_vec())
             .collect();
-        let (base, base_pairs) =
-            Self::base_from_tops(model, partners.to_vec(), &tops, top_k, &metrics);
         if let Some(b) = budget {
             metrics.build_budget_limit_bytes.set(b.limit_bytes as f64);
         }
-        Self {
+        let (base, base_pairs) = Self::base_from_tops(model, &partners, &tops, top_k, metrics);
+        Ok(Self {
             base,
-            metrics,
+            partners,
             top_k,
             requested_k,
             budget,
@@ -193,7 +186,7 @@ impl IncrementalEngine {
             delta_c: Vec::new(),
             delta_slot: HashMap::new(),
             ops_since_rebuild: 0,
-        }
+        })
     }
 
     /// A fresh base generation serving exactly the pairs in `tops`. No byte
@@ -201,11 +194,11 @@ impl IncrementalEngine {
     /// and [`Self::rebuild`] keeps serving even when no k fits any more.
     fn base_from_tops(
         model: GemModel,
-        partners: Vec<UserId>,
+        partners: &[UserId],
         tops: &[Vec<(f32, EventId)>],
         top_k: usize,
-        metrics: &EngineMetrics,
-    ) -> (Arc<IndexBase>, HashSet<(u32, u32)>) {
+        metrics: EngineMetrics,
+    ) -> (Arc<RecommendationEngine>, HashSet<(u32, u32)>) {
         let candidates: Vec<(UserId, EventId)> = partners
             .iter()
             .zip(tops)
@@ -214,10 +207,10 @@ impl IncrementalEngine {
         let base_pairs: HashSet<(u32, u32)> = candidates.iter().map(|&(p, x)| (p.0, x.0)).collect();
         // Rebuilds go through the same accounting as a first build, so the
         // `build.*` gauges stay truthful under churn.
-        let (space, index, _report) =
-            index_candidates(&model, &candidates, top_k, None, metrics, &Tracer::disabled())
+        let (base, _report) =
+            index_candidates(model, &candidates, top_k, None, metrics, ServeTracing::disabled())
                 .expect("a build without a byte limit cannot exceed one");
-        (Arc::new(IndexBase { model, space, index, partners }), base_pairs)
+        (Arc::new(base), base_pairs)
     }
 
     /// The model the engine serves.
@@ -276,8 +269,8 @@ impl IncrementalEngine {
         };
         self.live.insert(pos, x);
         let take = self.top_k.min(self.live.len());
-        for i in 0..self.base.partners.len() {
-            let p = self.base.partners[i];
+        for i in 0..self.partners.len() {
+            let p = self.partners[i];
             let entry = (self.base.model.score_event(p, x) as f32, x);
             if self.tops[i].len() < take {
                 // The top held every live event (|live| ≤ k): it grows.
@@ -294,7 +287,7 @@ impl IncrementalEngine {
             }
         }
         self.ops_since_rebuild += 1;
-        self.metrics.maint_adds.inc();
+        self.base.metrics.maint_adds.inc();
         Ok(true)
     }
 
@@ -309,11 +302,11 @@ impl IncrementalEngine {
         };
         self.live.remove(pos);
         let take = self.top_k.min(self.live.len());
-        for i in 0..self.base.partners.len() {
+        for i in 0..self.partners.len() {
             let Some(at) = self.tops[i].iter().position(|e| e.1 == x) else {
                 continue;
             };
-            let p = self.base.partners[i];
+            let p = self.partners[i];
             self.tops[i].remove(at);
             self.mark_absent(p, x);
             if self.tops[i].len() < take {
@@ -334,7 +327,7 @@ impl IncrementalEngine {
             }
         }
         self.ops_since_rebuild += 1;
-        self.metrics.maint_retires.inc();
+        self.base.metrics.maint_retires.inc();
         Ok(true)
     }
 
@@ -354,7 +347,7 @@ impl IncrementalEngine {
     pub fn rebuild(&mut self) {
         if let Some(budget) = self.budget {
             let resolved = budget.resolve_k(
-                self.base.partners.len(),
+                self.partners.len(),
                 self.live.len(),
                 self.base.model.dim,
                 self.requested_k,
@@ -364,9 +357,9 @@ impl IncrementalEngine {
             }
         }
         let model = self.base.model.clone();
-        let partners = self.base.partners.clone();
+        let metrics = self.base.metrics.clone();
         let (base, base_pairs) =
-            Self::base_from_tops(model, partners, &self.tops, self.top_k, &self.metrics);
+            Self::base_from_tops(model, &self.partners, &self.tops, self.top_k, metrics);
         self.base = base;
         self.base_pairs = base_pairs;
         self.removed.clear();
@@ -374,7 +367,7 @@ impl IncrementalEngine {
         self.delta_c.clear();
         self.delta_slot.clear();
         self.ops_since_rebuild = 0;
-        self.metrics.maint_rebuilds.inc();
+        self.base.metrics.maint_rebuilds.inc();
     }
 
     /// Rebuild the whole engine over a *different* model — the hot-reload
@@ -396,24 +389,8 @@ impl IncrementalEngine {
     /// [`BuildError::BudgetExceeded`] when the budgeted footprint no longer
     /// fits even at `k = 1` (e.g. the new model's dim grew).
     pub fn reload_model(&self, model: GemModel) -> Result<IncrementalEngine, BuildError> {
-        let partners = self.base.partners.clone();
-        match self.budget {
-            Some(budget) => Self::build_within_budget(
-                model,
-                &partners,
-                &self.live,
-                self.requested_k,
-                budget,
-                self.metrics.clone(),
-            ),
-            None => Ok(Self::build(
-                model,
-                &partners,
-                &self.live,
-                self.requested_k,
-                self.metrics.clone(),
-            )),
-        }
+        let metrics = self.base.metrics.clone();
+        Self::build_inner(model, &self.partners, &self.live, self.requested_k, self.budget, metrics)
     }
 
     /// Publish an immutable queryable view of the current state. Cheap:
@@ -421,14 +398,13 @@ impl IncrementalEngine {
     /// the maintenance thread can publish per churn batch while serving
     /// threads keep querying older snapshots undisturbed.
     pub fn snapshot(&self) -> EngineSnapshot {
-        self.metrics.maint_delta_pairs.set(self.delta_pairs.len() as f64);
-        self.metrics.maint_removed_pairs.set(self.removed.len() as f64);
+        self.base.metrics.maint_delta_pairs.set(self.delta_pairs.len() as f64);
+        self.base.metrics.maint_removed_pairs.set(self.removed.len() as f64);
         EngineSnapshot {
             base: Arc::clone(&self.base),
             removed: Arc::new(self.removed.clone()),
             delta_pairs: Arc::new(self.delta_pairs.clone()),
             delta_c: Arc::new(self.delta_c.clone()),
-            metrics: self.metrics.clone(),
         }
     }
 
@@ -449,7 +425,7 @@ impl IncrementalEngine {
             }
             Greater => {
                 let mut scored = Vec::with_capacity(self.live.len());
-                for (top, &p) in self.tops.iter_mut().zip(&self.base.partners) {
+                for (top, &p) in self.tops.iter_mut().zip(&self.partners) {
                     if top.len() < take {
                         *top = partner_top(&self.base.model, p, &self.live, take, &mut scored)
                             .to_vec();
@@ -494,17 +470,17 @@ fn insert_ranked(top: &mut Vec<(f32, EventId)>, entry: (f32, EventId)) {
     top.insert(at, entry);
 }
 
-/// Immutable queryable view published by [`IncrementalEngine::snapshot`].
+/// Immutable queryable view published by [`IncrementalEngine::snapshot`]:
+/// a shared base [`RecommendationEngine`] plus its churn overlays.
 ///
 /// Cloning is cheap (`Arc` bumps); snapshots are `Send + Sync` and meant to
 /// sit behind an atomically swapped generation cell in the serving daemon.
 #[derive(Clone)]
 pub struct EngineSnapshot {
-    base: Arc<IndexBase>,
+    base: Arc<RecommendationEngine>,
     removed: Arc<HashSet<(u32, u32)>>,
     delta_pairs: Arc<Vec<(UserId, EventId)>>,
     delta_c: Arc<Vec<f32>>,
-    metrics: EngineMetrics,
 }
 
 impl EngineSnapshot {
@@ -516,7 +492,7 @@ impl EngineSnapshot {
     /// Candidate pairs served by this snapshot (base minus removed plus
     /// delta).
     pub fn num_candidates(&self) -> usize {
-        self.base.space.len() - self.removed.len() + self.delta_pairs.len()
+        self.base.num_candidates() - self.removed.len() + self.delta_pairs.len()
     }
 
     /// Exact top-`n` event-partner recommendations for `user` via the base
@@ -528,17 +504,17 @@ impl EngineSnapshot {
         n: usize,
         scratch: &mut ServeScratch,
     ) -> Result<Vec<Recommendation>, ServeError> {
-        let (results, _, _) = self.search(user, n, None, scratch)?;
-        Ok(results)
+        Ok(self.serve(user, n, None, scratch)?.recommendations)
     }
 
     /// Deadline-bounded [`Self::try_top_n`]: the base TA search runs with a
     /// wall-clock deadline of `now + budget` and may degrade to a verified
     /// prefix. The delta overlay is always scanned in full (it is small by
-    /// the staleness budget), but under [`TaCompletion::Degraded`] only its
-    /// pairs above the base search's final threshold are served: anything
-    /// lower could be beaten by a base pair the search never examined.
-    /// Expiries count into `serve.degraded`.
+    /// the staleness budget), but under [`crate::TaCompletion::Degraded`]
+    /// only its pairs above the base search's final threshold are served:
+    /// anything lower could be beaten by a base pair the search never
+    /// examined. Every call counts into `serve.deadline_queries`; expiries
+    /// additionally count into `serve.degraded`.
     pub fn try_top_n_deadline(
         &self,
         user: UserId,
@@ -546,115 +522,68 @@ impl EngineSnapshot {
         budget: Duration,
         scratch: &mut ServeScratch,
     ) -> Result<DeadlineRecommendations, ServeError> {
-        let deadline = Instant::now() + budget;
-        let (recommendations, stats, completion) = self.search(user, n, Some(deadline), scratch)?;
-        Ok(DeadlineRecommendations { recommendations, stats, completion })
+        self.serve(user, n, Some(Instant::now() + budget), scratch)
     }
 
-    fn search(
+    /// The base engine's query core, with the removed pairs filtered out of
+    /// its search and the delta pairs merged into its results.
+    fn serve(
         &self,
         user: UserId,
         n: usize,
         deadline: Option<Instant>,
         scratch: &mut ServeScratch,
-    ) -> Result<(Vec<Recommendation>, TaStats, TaCompletion), ServeError> {
-        let model = &self.base.model;
-        if user.index() >= model.num_users() {
-            self.metrics.invalid_users.inc();
-            return Err(ServeError::UnknownUser { user, num_users: model.num_users() });
-        }
-        let started = if self.metrics.is_enabled() { Some(Instant::now()) } else { None };
-        TransformedSpace::query_vector_into(model, user, &mut scratch.q);
+    ) -> Result<DeadlineRecommendations, ServeError> {
         let removed = &*self.removed;
         let filter = |p: UserId, x: EventId| p != user && !removed.contains(&(p.0, x.0));
-        let TaSearch { mut results, mut stats, completion, cutoff } = self.base.index.search(
-            &self.base.space,
-            &scratch.q,
-            n,
-            filter,
-            &mut scratch.ta,
-            deadline,
-        );
-        // Delta overlay: exhaustive scan with the same A + B + C
-        // decomposition as the TA random access, over the model rows the
-        // space's rows are copies of, so delta scores are bitwise
-        // comparable with base scores. A degraded base search left
-        // base pairs unexamined, all of them at or below `cutoff`: a delta
-        // pair joins the verified prefix only if it beats that bound too.
-        let k = model.dim;
-        let u = &scratch.q[0..k];
-        let qw = scratch.q[2 * k];
-        for (&(p, x), &c) in self.delta_pairs.iter().zip(self.delta_c.iter()) {
-            if p == user {
-                continue;
-            }
-            let score = dot(u, model.event_vec(x)) + dot(u, model.user_vec(p)) + c * qw;
-            stats.scored += 1;
-            if completion == TaCompletion::Exact || score > cutoff {
-                results.push((score, p, x));
-            }
-        }
-        if !self.delta_pairs.is_empty() {
-            results.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-            results.truncate(n);
-        }
-        if let Some(t0) = started {
-            self.metrics.query_ns_ta.record_duration(t0.elapsed());
-            self.metrics.queries.inc();
-            if deadline.is_some() {
-                self.metrics.deadline_queries.inc();
-                if completion == TaCompletion::Degraded {
-                    self.metrics.degraded.inc();
-                }
-            }
-            self.metrics.record_ta_work(&stats);
-        }
-        let recommendations = results
-            .into_iter()
-            .map(|(score, partner, event)| Recommendation { partner, event, score })
-            .collect();
-        Ok((recommendations, stats, completion))
+        let (pairs, c) = (&self.delta_pairs, &self.delta_c);
+        self.base.serve(user, n, Method::Ta, deadline, filter, pairs, c, scratch)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Method, RecommendationEngine};
     use crate::transform::toy_model;
     use rand::RngExt;
 
-    fn random_model(nu: u32, nx: u32, dim: usize, seed: u64) -> GemModel {
+    pub(super) fn random_model(nu: u32, nx: u32, dim: usize, seed: u64) -> GemModel {
         let mut rng = gem_sampling::rng_from_seed(seed);
         let users: Vec<f32> = (0..nu as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
         let events: Vec<f32> = (0..nx as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
         GemModel::from_raw(dim, users, events, vec![], vec![], vec![])
     }
 
-    /// Oracle: an engine rebuilt from scratch on the current live set.
-    fn scratch_engine(
-        model: &GemModel,
+    /// Score bits, rank by rank.
+    pub(super) fn score_bits(recs: &[Recommendation]) -> Vec<u32> {
+        recs.iter().map(|r| r.score.to_bits()).collect()
+    }
+
+    /// The first of `users` for whom `inc`'s snapshot and the oracle — an
+    /// engine rebuilt from scratch on the current live set — disagree, if
+    /// any. Scores must match bit for bit, rank by rank: delta and base
+    /// pairs score through the same `A + B + C`.
+    pub(super) fn scratch_mismatch(
+        inc: &IncrementalEngine,
         partners: &[UserId],
-        live: &[EventId],
-        k: usize,
-    ) -> RecommendationEngine {
-        RecommendationEngine::build(model.clone(), partners, live, k)
+        users: &[UserId],
+        n: usize,
+    ) -> Option<String> {
+        let model = inc.model().clone();
+        let oracle = RecommendationEngine::build(model, partners, inc.live_events(), inc.top_k);
+        let snap = inc.snapshot();
+        let mut scratch = ServeScratch::new();
+        users.iter().find_map(|&u| {
+            let got = snap.try_top_n(u, n, &mut scratch).unwrap();
+            let (want, _) = oracle.try_recommend_with(u, n, Method::Ta, &mut scratch).unwrap();
+            let differ = score_bits(&got) != score_bits(&want);
+            differ.then(|| format!("{u:?}: incremental {got:?} vs scratch {want:?}"))
+        })
     }
 
     fn assert_matches_scratch(inc: &IncrementalEngine, partners: &[UserId], n: usize) {
-        let oracle = scratch_engine(inc.model(), partners, inc.live_events(), inc.top_k);
-        let snap = inc.snapshot();
-        let mut scratch = ServeScratch::new();
-        for &UserId(u) in partners {
-            let got = snap.try_top_n(UserId(u), n, &mut scratch).unwrap();
-            let (want, _) = oracle.try_recommend(UserId(u), n, Method::Ta).unwrap();
-            assert_eq!(got.len(), want.len(), "user {u}");
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    (g.score - w.score).abs() < 1e-5,
-                    "user {u} rank {i}: incremental {g:?} vs scratch {w:?}"
-                );
-            }
+        if let Some(mismatch) = scratch_mismatch(inc, partners, partners, n) {
+            panic!("{mismatch}");
         }
     }
 
@@ -773,10 +702,7 @@ mod tests {
         let mut s = ServeScratch::new();
         for (&p, want) in partners.iter().zip(&before) {
             let got = snap.try_top_n(p, 6, &mut s).unwrap();
-            assert_eq!(got.len(), want.len(), "{p:?}");
-            for (g, w) in got.iter().zip(want) {
-                assert!((g.score - w.score).abs() < 1e-6, "{p:?}: {g:?} vs {w:?}");
-            }
+            assert_eq!(score_bits(&got), score_bits(want), "{p:?}: {got:?} vs {want:?}");
         }
         assert_matches_scratch(&inc, &partners, 6);
     }
@@ -920,10 +846,10 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{random_model, score_bits, scratch_mismatch};
     use super::*;
-    use crate::engine::{Method, RecommendationEngine};
+    use crate::ta::TaCompletion;
     use proptest::prelude::*;
-    use rand::RngExt;
 
     proptest! {
         /// Satellite invariant: *any* sequence of add/retire operations
@@ -939,22 +865,12 @@ mod proptests {
             seed in 0u64..500,
             ops in prop::collection::vec((0u32..2, 0u32..14), 0..24),
         ) {
-            let mut rng = gem_sampling::rng_from_seed(seed);
-            let users: Vec<f32> =
-                (0..nu as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
-            let events: Vec<f32> =
-                (0..nx as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
-            let model = GemModel::from_raw(dim, users, events, vec![], vec![], vec![]);
+            let model = random_model(nu, nx, dim, seed);
             let partners: Vec<UserId> = (0..nu).map(UserId).collect();
             // Start from an arbitrary prefix of the event pool.
             let initial: Vec<EventId> = (0..nx / 2).map(EventId).collect();
-            let mut inc = IncrementalEngine::build(
-                model.clone(),
-                &partners,
-                &initial,
-                k,
-                EngineMetrics::disabled(),
-            );
+            let mut inc =
+                IncrementalEngine::build(model, &partners, &initial, k, EngineMetrics::disabled());
             let mut live: std::collections::BTreeSet<EventId> =
                 initial.iter().copied().collect();
             for &(op, raw) in &ops {
@@ -971,30 +887,50 @@ mod proptests {
             }
             let final_live: Vec<EventId> = live.iter().copied().collect();
             prop_assert_eq!(inc.live_events(), &final_live[..]);
-            let oracle = RecommendationEngine::build(model, &partners, &final_live, k);
-            let snap = inc.snapshot();
-            let mut scratch = ServeScratch::new();
-            for &u in [0u32, nu / 2, nu - 1].iter() {
-                let got = snap.try_top_n(UserId(u), n, &mut scratch).unwrap();
-                let (want, _) = oracle.try_recommend(UserId(u), n, Method::Ta).unwrap();
-                prop_assert_eq!(got.len(), want.len(), "user {}", u);
-                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                    prop_assert!(
-                        (g.score - w.score).abs() < 1e-5,
-                        "user {} rank {}: incremental {:?} vs scratch {:?}", u, i, g, w
-                    );
-                }
-            }
+            let users = [UserId(0), UserId(nu / 2), UserId(nu - 1)];
+            let mismatch = scratch_mismatch(&inc, &partners, &users, n);
+            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
             // Folding the overlays into a fresh base must not change results.
             inc.rebuild();
+            let mismatch = scratch_mismatch(&inc, &partners, &users, n);
+            prop_assert!(mismatch.is_none(), "post-rebuild {}", mismatch.unwrap_or_default());
+        }
+
+        /// A snapshot with no churn serves exactly what its base engine
+        /// serves: results, score bits and `TaStats` of
+        /// `recommend_with(.., Method::Ta, ..)`, exact and under a 60 s
+        /// deadline; and under a 0 µs deadline the same empty degraded
+        /// answer the engine's own core gives.
+        #[test]
+        fn unchurned_snapshot_equals_engine(
+            dim in 2usize..7,
+            nu in 2u32..40,
+            nx in 1u32..16,
+            k in 1usize..10,
+            n in 1usize..14,
+            seed in 0u64..1000,
+        ) {
+            let model = random_model(nu, nx, dim, seed);
+            let partners: Vec<UserId> = (0..nu).map(UserId).collect();
+            let events: Vec<EventId> = (0..nx).map(EventId).collect();
+            let engine = RecommendationEngine::build(model.clone(), &partners, &events, k);
+            let inc = IncrementalEngine::build(model, &partners, &events, k, EngineMetrics::disabled());
             let snap = inc.snapshot();
-            for &u in [0u32, nu - 1].iter() {
-                let got = snap.try_top_n(UserId(u), n, &mut scratch).unwrap();
-                let (want, _) = oracle.try_recommend(UserId(u), n, Method::Ta).unwrap();
-                prop_assert_eq!(got.len(), want.len(), "user {} post-rebuild", u);
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert!((g.score - w.score).abs() < 1e-5, "post-rebuild {:?} vs {:?}", g, w);
-                }
+            let mut s = ServeScratch::new();
+            for u in [UserId(0), UserId(nu / 2), UserId(nu - 1)] {
+                let (want, stats) = engine.recommend_with(u, n, Method::Ta, &mut s);
+                let got = snap.try_top_n(u, n, &mut s).unwrap();
+                prop_assert_eq!(&got, &want, "{:?}", u);
+                prop_assert_eq!(score_bits(&got), score_bits(&want), "{:?}", u);
+                let slow = snap.try_top_n_deadline(u, n, Duration::from_secs(60), &mut s).unwrap();
+                prop_assert_eq!(slow.completion, TaCompletion::Exact, "{:?}", u);
+                prop_assert_eq!(slow.stats, stats, "{:?}", u);
+                prop_assert_eq!(score_bits(&slow.recommendations), score_bits(&want), "{:?}", u);
+                let expired = snap.try_top_n_deadline(u, n, Duration::ZERO, &mut s).unwrap();
+                let plain = |p: UserId, _| p != u;
+                let core = engine.serve(u, n, Method::Ta, Some(Instant::now()), plain, &[], &[], &mut s);
+                prop_assert!(expired.is_degraded() && expired.recommendations.is_empty());
+                prop_assert_eq!(expired, core.unwrap(), "{:?}", u);
             }
         }
     }

@@ -20,29 +20,30 @@
 //!    only orderings of the space's pairs.
 //! 4. [`brute`] — the exhaustive scorer over the same factored space, used
 //!    as the GEM-BF baseline and as the correctness oracle for TA.
-//! 5. [`engine`] — the end-to-end [`RecommendationEngine`] facade, with a
-//!    fallible [`RecommendationEngine::try_recommend`] path for untrusted
-//!    request traffic, a deadline-bounded
-//!    [`RecommendationEngine::try_recommend_deadline`] path that degrades
-//!    to a verified prefix of the top-n instead of blowing its budget, and
-//!    [`RecommendationEngine::build_from_checkpoints`] which serves the
-//!    newest checkpoint generation that passes validation.
+//! 5. [`engine`] — the end-to-end [`RecommendationEngine`]: one build
+//!    ([`RecommendationEngine::build`], or
+//!    [`RecommendationEngine::build_within_budget`] with a byte ceiling,
+//!    metrics and tracing) and one query core behind
+//!    [`RecommendationEngine::try_recommend_with`] (fallible, for untrusted
+//!    request traffic) and its infallible and batch wrappers.
 //! 6. [`incremental`] — incremental TA-index maintenance under event
 //!    churn: an [`IncrementalEngine`] master absorbs add/retire operations
 //!    into small removed/delta overlays (a delta pair carries its
-//!    `u'ᵀx` only) over an immutable base index and publishes cheap
+//!    `u'ᵀx` only) over an immutable base engine and publishes cheap
 //!    [`EngineSnapshot`]s for concurrent serving, falling back to a full
-//!    rebuild past a staleness budget.
+//!    rebuild past a staleness budget. A snapshot query runs the base
+//!    engine's query core; [`EngineSnapshot::try_top_n_deadline`] degrades
+//!    to a verified prefix of the top-n instead of blowing its time budget.
 //! 7. [`budget`] — memory-budgeted construction: [`MemBudget`] turns the
 //!    reported space number into a hard ceiling enforced during
 //!    [`RecommendationEngine::build_within_budget`], either failing or
 //!    degrading the pruning parameter `k` when the projection exceeds it.
 //! 8. [`metrics`] — pre-registered gem-obs handles ([`EngineMetrics`]) for
 //!    per-query latency, TA work counters and build-phase timings; for
-//!    time-resolved views, [`RecommendationEngine::build_traced`] +
-//!    [`ServeTracing`] additionally emit `build.*` and `serve.*` spans into
-//!    a `gem_obs::Tracer` (two-tier: slow queries are promoted to full
-//!    argument detail).
+//!    time-resolved views, [`ServeTracing`] passed to
+//!    [`RecommendationEngine::build_within_budget`] additionally emits
+//!    `build.*` and `serve.*` spans into a `gem_obs::Tracer` (two-tier:
+//!    slow queries are promoted to full argument detail).
 //!
 //! # Degenerate scores
 //!
@@ -65,8 +66,8 @@ pub mod transform;
 pub use brute::{BruteForce, BruteScratch};
 pub use budget::{BudgetPolicy, BuildError, BuildReport, MemBudget};
 pub use engine::{
-    CheckpointProvenance, DeadlineRecommendations, Method, Recommendation, RecommendationEngine,
-    ServeError, ServeScratch, ServeTracing,
+    DeadlineRecommendations, Method, Recommendation, RecommendationEngine, ServeError,
+    ServeScratch, ServeTracing,
 };
 pub use incremental::{EngineSnapshot, IncrementalEngine, MaintError};
 pub use metrics::EngineMetrics;

@@ -42,6 +42,16 @@ pub(crate) fn partner_top<'s>(
     scored
 }
 
+/// `partners` with repeats dropped, each kept at its first position: the
+/// engine builds take their partner pool through here, so a repeated
+/// partner cannot put the same pair into the candidate set twice, and a
+/// repeat-free pool keeps its order (and with it every row id and
+/// `TaStats` counter).
+pub(crate) fn unique_partners(partners: &[UserId]) -> Vec<UserId> {
+    let mut seen = std::collections::HashSet::with_capacity(partners.len());
+    partners.iter().copied().filter(|&p| seen.insert(p)).collect()
+}
+
 /// For each partner, the top-`k` events by `u'·x`. Output pairs are grouped
 /// by partner, each group sorted by descending event score.
 ///

@@ -40,7 +40,7 @@
 //!
 //! The group structure is stored in CSR form (one flat member array plus a
 //! `groups+1` offset array per axis) so that a query never copies it: the
-//! per-query [`GroupCursor`]s *borrow* the index. All per-query working
+//! per-query `GroupCursor`s *borrow* the index. All per-query working
 //! memory — composite keys, group heaps, the visited set, the top-n
 //! heap — lives in a caller-owned [`TaScratch`] that [`TaIndex::top_n_with`]
 //! reuses across calls, so a serving thread allocates only the final result
@@ -110,9 +110,9 @@ pub enum TaCompletion {
     Degraded,
 }
 
-/// What the shared TA core knows when it stops. The public entry points
-/// hand out everything but the cutoff; [`crate::EngineSnapshot`] needs that
-/// too, to hold its delta overlay to the same verified-prefix contract.
+/// What the TA core knows when it stops. [`TaIndex::top_n_with`] hands out
+/// the results and stats; the engine's query core needs the completion and
+/// cutoff too, to hold a delta overlay to the same verified-prefix contract.
 pub(crate) struct TaSearch {
     /// Results in descending score order.
     pub(crate) results: Vec<(f32, UserId, EventId)>,
@@ -320,21 +320,9 @@ impl TaIndex {
     }
 
     /// Exact top-`n` pairs for query `q = (u, u, 1)`, skipping pairs
-    /// rejected by `filter`. Allocates fresh working memory; serving loops
-    /// should call [`Self::top_n_with`] with a reused [`TaScratch`].
-    pub fn top_n(
-        &self,
-        space: &TransformedSpace,
-        q: &[f32],
-        n: usize,
-        filter: impl FnMut(UserId, EventId) -> bool,
-    ) -> (Vec<(f32, UserId, EventId)>, TaStats) {
-        let mut scratch = TaScratch::new();
-        self.top_n_with(space, q, n, filter, &mut scratch)
-    }
-
-    /// [`Self::top_n`] with caller-owned scratch: zero per-query allocation
-    /// beyond the returned result vector once the scratch is warm.
+    /// rejected by `filter`, with caller-owned scratch: zero per-query
+    /// allocation beyond the returned result vector once the scratch is
+    /// warm.
     ///
     /// # Panics
     /// Panics if `q.len() != space.dim()` or the index was built from a
@@ -351,7 +339,8 @@ impl TaIndex {
         (found.results, found.stats)
     }
 
-    /// [`Self::top_n_with`] under a wall-clock deadline.
+    /// The TA core: [`Self::top_n_with`], optionally under a wall-clock
+    /// deadline.
     ///
     /// If the threshold condition is met before `deadline`, the result is
     /// the exact top-n ([`TaCompletion::Exact`]). If the deadline expires
@@ -372,24 +361,7 @@ impl TaIndex {
     /// first round).
     /// Queries that are trivially exact — `n == 0` or an empty candidate
     /// space — stay [`TaCompletion::Exact`] regardless of the deadline.
-    ///
-    /// # Panics
-    /// Panics if `q.len() != space.dim()` or the index was built from a
-    /// space of a different size.
-    pub fn top_n_deadline_with(
-        &self,
-        space: &TransformedSpace,
-        q: &[f32],
-        n: usize,
-        filter: impl FnMut(UserId, EventId) -> bool,
-        deadline: Instant,
-        scratch: &mut TaScratch,
-    ) -> (Vec<(f32, UserId, EventId)>, TaStats, TaCompletion) {
-        let found = self.search(space, q, n, filter, scratch, Some(deadline));
-        (found.results, found.stats, found.completion)
-    }
-
-    /// Shared TA core for the exact and deadline-bounded entry points.
+    /// Panics like [`Self::top_n_with`].
     pub(crate) fn search(
         &self,
         space: &TransformedSpace,
@@ -691,7 +663,7 @@ mod full_sort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::brute::BruteForce;
+    use crate::brute::{BruteForce, BruteScratch};
     use crate::transform::toy_model;
     use gem_core::GemModel;
     use rand::RngExt;
@@ -702,6 +674,31 @@ mod tests {
         TransformedSpace::build(model, &candidates)
     }
 
+    /// Exact top-n with fresh scratch.
+    fn top_n(
+        index: &TaIndex,
+        space: &TransformedSpace,
+        q: &[f32],
+        n: usize,
+        filter: impl FnMut(UserId, EventId) -> bool,
+    ) -> (Vec<(f32, UserId, EventId)>, TaStats) {
+        index.top_n_with(space, q, n, filter, &mut TaScratch::new())
+    }
+
+    /// The TA core under `deadline`, unpacked.
+    fn top_n_deadline(
+        index: &TaIndex,
+        space: &TransformedSpace,
+        q: &[f32],
+        n: usize,
+        filter: impl FnMut(UserId, EventId) -> bool,
+        deadline: Instant,
+        scratch: &mut TaScratch,
+    ) -> (Vec<(f32, UserId, EventId)>, TaStats, TaCompletion) {
+        let found = index.search(space, q, n, filter, scratch, Some(deadline));
+        (found.results, found.stats, found.completion)
+    }
+
     #[test]
     fn ta_matches_brute_force_on_toy_model() {
         let model = toy_model();
@@ -710,8 +707,8 @@ mod tests {
         let brute = BruteForce::new(&space);
         for u in 0..3u32 {
             let q = TransformedSpace::query_vector(&model, UserId(u));
-            let (ta, _) = index.top_n(&space, &q, 3, |p, _| p != UserId(u));
-            let bf = brute.top_n(&q, 3, |p, _| p != UserId(u));
+            let (ta, _) = top_n(&index, &space, &q, 3, |p, _| p != UserId(u));
+            let bf = brute.top_n_with(&q, 3, |p, _| p != UserId(u), &mut BruteScratch::new());
             assert_eq!(ta.len(), bf.len());
             for (a, b) in ta.iter().zip(&bf) {
                 assert!((a.0 - b.0).abs() < 1e-5, "score mismatch {a:?} vs {b:?}");
@@ -732,8 +729,8 @@ mod tests {
         for u in [0u32, 7, 13, 39] {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             for n in [1, 5, 10] {
-                let (ta, stats) = index.top_n(&space, &q, n, |p, _| p != UserId(u));
-                let bf = brute.top_n(&q, n, |p, _| p != UserId(u));
+                let (ta, stats) = top_n(&index, &space, &q, n, |p, _| p != UserId(u));
+                let bf = brute.top_n_with(&q, n, |p, _| p != UserId(u), &mut BruteScratch::new());
                 let ta_scores: Vec<f32> = ta.iter().map(|r| r.0).collect();
                 let bf_scores: Vec<f32> = bf.iter().map(|r| r.0).collect();
                 for (a, b) in ta_scores.iter().zip(&bf_scores) {
@@ -760,7 +757,7 @@ mod tests {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             let (reused, stats_reused) =
                 index.top_n_with(&space, &q, 7, |p, _| p != UserId(u), &mut scratch);
-            let (fresh, stats_fresh) = index.top_n(&space, &q, 7, |p, _| p != UserId(u));
+            let (fresh, stats_fresh) = top_n(&index, &space, &q, 7, |p, _| p != UserId(u));
             assert_eq!(reused, fresh, "u={u}");
             assert_eq!(stats_reused, stats_fresh, "u={u}");
         }
@@ -780,8 +777,8 @@ mod tests {
         for u in 0..20u32 {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             assert!(q.iter().any(|&v| v < 0.0), "test needs signed queries");
-            let (ta, _) = index.top_n(&space, &q, 5, |_, _| true);
-            let bf = brute.top_n(&q, 5, |_, _| true);
+            let (ta, _) = top_n(&index, &space, &q, 5, |_, _| true);
+            let bf = brute.top_n_with(&q, 5, |_, _| true, &mut BruteScratch::new());
             for (a, b) in ta.iter().zip(&bf) {
                 assert!((a.0 - b.0).abs() < 1e-5, "u={u}: {a:?} vs {b:?}");
             }
@@ -807,7 +804,7 @@ mod tests {
         let space = cross_space(&model, n_users, n_events);
         let index = TaIndex::build(&space);
         let q = TransformedSpace::query_vector(&model, UserId(0));
-        let (top, stats) = index.top_n(&space, &q, 5, |_, _| true);
+        let (top, stats) = top_n(&index, &space, &q, 5, |_, _| true);
         assert_eq!(top[0].1, UserId(1));
         assert!(stats.scored < space.len() / 4, "TA scored {}/{} pairs", stats.scored, space.len());
     }
@@ -818,7 +815,7 @@ mod tests {
         let space = cross_space(&model, 3, 2);
         let index = TaIndex::build(&space);
         let q = TransformedSpace::query_vector(&model, UserId(0));
-        let (results, _) = index.top_n(&space, &q, 10, |p, _| p != UserId(0));
+        let (results, _) = top_n(&index, &space, &q, 10, |p, _| p != UserId(0));
         assert!(results.iter().all(|r| r.1 != UserId(0)));
         assert_eq!(results.len(), 4); // 2 partners × 2 events
     }
@@ -829,11 +826,11 @@ mod tests {
         let space = cross_space(&model, 3, 2);
         let index = TaIndex::build(&space);
         let q = TransformedSpace::query_vector(&model, UserId(0));
-        assert!(index.top_n(&space, &q, 0, |_, _| true).0.is_empty());
+        assert!(top_n(&index, &space, &q, 0, |_, _| true).0.is_empty());
 
         let empty = TransformedSpace::build(&model, &[]);
         let index = TaIndex::build(&empty);
-        assert!(index.top_n(&empty, &q, 5, |_, _| true).0.is_empty());
+        assert!(top_n(&index, &empty, &q, 5, |_, _| true).0.is_empty());
     }
 
     #[test]
@@ -842,7 +839,7 @@ mod tests {
         let space = cross_space(&model, 3, 2);
         let index = TaIndex::build(&space);
         let q = TransformedSpace::query_vector(&model, UserId(2));
-        let (results, _) = index.top_n(&space, &q, 6, |_, _| true);
+        let (results, _) = top_n(&index, &space, &q, 6, |_, _| true);
         for w in results.windows(2) {
             assert!(w[0].0 >= w[1].0);
         }
@@ -863,7 +860,8 @@ mod tests {
         for u in [0u32, 11, 39] {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            let (bounded, stats_b, completion) = index.top_n_deadline_with(
+            let (bounded, stats_b, completion) = top_n_deadline(
+                &index,
                 &space,
                 &q,
                 8,
@@ -871,7 +869,7 @@ mod tests {
                 deadline,
                 &mut scratch,
             );
-            let (exact, stats_e) = index.top_n(&space, &q, 8, |p, _| p != UserId(u));
+            let (exact, stats_e) = top_n(&index, &space, &q, 8, |p, _| p != UserId(u));
             assert_eq!(completion, TaCompletion::Exact, "u={u}");
             assert_eq!(bounded, exact, "u={u}");
             assert_eq!(stats_b, stats_e, "u={u}");
@@ -899,8 +897,8 @@ mod tests {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
             let (bounded, stats_b, completion) =
-                index.top_n_deadline_with(&space, &q, n, |_, _| true, deadline, &mut scratch);
-            let (exact, stats_e) = index.top_n(&space, &q, n, |_, _| true);
+                top_n_deadline(&index, &space, &q, n, |_, _| true, deadline, &mut scratch);
+            let (exact, stats_e) = top_n(&index, &space, &q, n, |_, _| true);
             assert!(bounded.len() <= exact.len(), "u={u}");
             for (i, (b, e)) in bounded.iter().zip(&exact).enumerate() {
                 assert!((b.0 - e.0).abs() < 1e-5, "u={u} rank {i}: degraded {b:?} vs exact {e:?}");
@@ -937,7 +935,7 @@ mod tests {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             let deadline = std::time::Instant::now() - std::time::Duration::from_secs(1);
             let (results, stats, completion) =
-                index.top_n_deadline_with(&space, &q, 10, |_, _| true, deadline, &mut scratch);
+                top_n_deadline(&index, &space, &q, 10, |_, _| true, deadline, &mut scratch);
             assert_eq!(completion, TaCompletion::Degraded, "u={u}");
             assert!(results.is_empty(), "u={u}: expired deadline did work: {results:?}");
             assert_eq!(stats.sorted_accesses, 0, "u={u}");
@@ -953,7 +951,7 @@ mod tests {
         let q = TransformedSpace::query_vector(&model, UserId(0));
         let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
         let (results, _, completion) =
-            index.top_n_deadline_with(&empty, &q, 5, |_, _| true, deadline, &mut TaScratch::new());
+            top_n_deadline(&index, &empty, &q, 5, |_, _| true, deadline, &mut TaScratch::new());
         assert!(results.is_empty());
         assert_eq!(completion, TaCompletion::Exact);
     }
@@ -1022,7 +1020,7 @@ mod tests {
                     assert_eq!(stats.sorted_accesses, 3 * space.len(), "u={u}");
                     assert!(scratch.a_groups.is_empty() && scratch.b_groups.is_empty());
                 }
-                let bf = brute.top_n(&q, n, |_, _| true);
+                let bf = brute.top_n_with(&q, n, |_, _| true, &mut BruteScratch::new());
                 assert_eq!(bf.len(), ta.len());
                 for (a, b) in ta.iter().zip(&bf) {
                     assert!((a.0 - b.0).abs() < 1e-5, "u={u} n={n}: {a:?} vs {b:?}");
@@ -1046,7 +1044,7 @@ mod tests {
             for u in [0u32, 5, 8] {
                 let q = TransformedSpace::query_vector(&model, UserId(u));
                 let reused = index.top_n_with(space, &q, 6, |p, _| p != UserId(u), &mut scratch);
-                let fresh = index.top_n(space, &q, 6, |p, _| p != UserId(u));
+                let fresh = top_n(index, space, &q, 6, |p, _| p != UserId(u));
                 assert_eq!(reused, fresh, "u={u} pairs={}", space.len());
             }
         }
@@ -1057,7 +1055,7 @@ mod tests {
 mod proptests {
     use super::tests::{cross_space, signed_model};
     use super::*;
-    use crate::brute::BruteForce;
+    use crate::brute::{BruteForce, BruteScratch};
     use gem_core::GemModel;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
@@ -1083,7 +1081,7 @@ mod proptests {
         for u in [0u32, nu / 2, nu - 1] {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             let (ta, _) = index.top_n_with(&space, &q, n, |_, _| true, &mut scratch);
-            let bf = brute.top_n(&q, n, |_, _| true);
+            let bf = brute.top_n_with(&q, n, |_, _| true, &mut BruteScratch::new());
             prop_assert_eq!(ta.len(), bf.len());
             // One scoring expression for both: equal bits, rank by rank.
             for (a, b) in ta.iter().zip(&bf) {

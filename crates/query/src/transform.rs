@@ -274,7 +274,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::brute::BruteForce;
+    use crate::brute::{BruteForce, BruteScratch};
     use crate::prune::top_k_events_per_partner;
     use proptest::prelude::*;
     use rand::RngExt;
@@ -320,7 +320,7 @@ mod proptests {
                     expanded.push(product);
                 }
                 expanded.sort_unstable_by(|a, b| b.total_cmp(a));
-                let top = BruteForce::new(&space).top_n(&q, n, |_, _| true);
+                let top = BruteForce::new(&space).top_n_with(&q, n, |_, _| true, &mut BruteScratch::new());
                 prop_assert_eq!(top.len(), n.min(space.len()));
                 for (rank, (got, want)) in top.iter().zip(&expanded).enumerate() {
                     prop_assert!(close(got.0, *want), "u={} rank {}: {:?} vs {}", u, rank, got, want);

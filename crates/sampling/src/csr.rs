@@ -15,7 +15,7 @@
 //! ```
 //!
 //! Each segment is constructed with *exactly* the Walker algorithm of
-//! [`AliasTable::new`] (same summation order, same small/large stack
+//! [`AliasTable::new`](crate::AliasTable::new) (same summation order, same small/large stack
 //! discipline, same leftover-to-1.0 slack), writing straight into its span
 //! of the packed arrays — so a segment's [`AliasView`] produces draw streams
 //! bit-identical to a standalone table built from the same weights. The
@@ -94,7 +94,7 @@ impl std::error::Error for CsrError {}
 
 impl CsrError {
     /// Project onto the single-table error type (drops the segment id),
-    /// for callers that previously built standalone [`AliasTable`]s and
+    /// for callers that previously built standalone [`AliasTable`](crate::AliasTable)s and
     /// reported [`AliasError`]s.
     pub fn to_alias_error(&self) -> AliasError {
         match *self {

@@ -10,10 +10,10 @@
 //!   request pins one snapshot generation ([`GenerationCell::load`]),
 //!   passes per-shard admission ([`crate::shard::ShardSet`]) and serves
 //!   under a wall-clock deadline via
-//!   [`EngineSnapshot::try_top_n_deadline`] — the same deadline-degraded
-//!   contract as `RecommendationEngine::try_recommend_deadline`, so
-//!   overload degrades result quality (verified prefixes) and sheds load
-//!   (503) instead of growing queues.
+//!   [`EngineSnapshot::try_top_n_deadline`] — the base engine's own query
+//!   core under a deadline-degraded contract, so overload degrades result
+//!   quality (verified prefixes) and sheds load (503) instead of growing
+//!   queues.
 //! - **Maintenance thread**: owns the mutable [`IncrementalEngine`].
 //!   `POST /events/add|retire` enqueue onto its mpsc mailbox; it drains
 //!   the mailbox in batches, applies the churn incrementally, runs a full

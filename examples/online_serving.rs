@@ -14,6 +14,7 @@
 //!
 //! Run with: `cargo run --release --example online_serving`
 
+use ebsn_rec::online::MemBudget;
 use ebsn_rec::prelude::*;
 use std::time::Instant;
 
@@ -64,14 +65,16 @@ fn main() {
     // threshold (100µs here).
     for k in [4usize, 16, upcoming.len()] {
         let t0 = Instant::now();
-        let engine = RecommendationEngine::build_traced(
+        let (engine, _report) = RecommendationEngine::build_within_budget(
             model.clone(),
             &partners,
             upcoming,
             k,
+            MemBudget::fail_at_mib(64),
             EngineMetrics::register(&registry),
             ServeTracing::new(tracer.clone(), 100_000),
-        );
+        )
+        .expect("800 partners at any k fit 64 MiB");
         let build = t0.elapsed();
         println!(
             "\nk = {k:<3} → {} candidate pairs, space {:.1} MiB, offline build {:.2}s",

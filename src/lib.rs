@@ -115,8 +115,8 @@ pub mod prelude {
     pub use gem_eval::{eval_event_rec, eval_partner_rec, sign_test, EvalConfig};
     pub use gem_obs::{FaultMode, Journal, JournalRecord, MetricsRegistry, TraceSink, Tracer};
     pub use gem_query::{
-        CheckpointProvenance, DeadlineRecommendations, EngineMetrics, Method, Recommendation,
-        RecommendationEngine, ServeError, ServeTracing, TaCompletion,
+        DeadlineRecommendations, EngineMetrics, Method, Recommendation, RecommendationEngine,
+        ServeError, ServeTracing, TaCompletion,
     };
 }
 
