@@ -24,18 +24,18 @@
 //! Per leg, the sweep reports:
 //!
 //! * **build** — `build_within_budget` wall-clock plus the [`BuildReport`]
-//!   byte breakdown (candidate list, transformed space, TA index) and the
-//!   effective pruning `k` the budget admitted. The 1/40 and full legs run
-//!   `Fail` budgets sized to hold the requested `k = 8`; the 10× leg runs
-//!   a 512 MiB `DegradeK` budget, which the factored space (40 bytes a
-//!   pair) also fits at `k = 8` — the full sweep asserts that no leg
-//!   degrades.
+//!   byte breakdown (transformed space, TA index) and the effective
+//!   pruning `k` the budget admitted. The 1/40 and full legs run `Fail`
+//!   budgets sized to hold the requested `k = 8`; the 10× leg runs a
+//!   512 MiB `DegradeK` budget, which the factored space (16 bytes a pair)
+//!   fits at `k = 8` with room to spare — the full sweep asserts that no
+//!   leg degrades.
 //! * **serving** — single-thread GEM-TA and GEM-BF queries/sec, after a
 //!   TA == BF agreement gate on sampled queries.
 //! * **persist v3** — chunk-streamed save / full streaming load / lazy
 //!   [`ModelReader`] open+row wall-clock for the leg's model file.
 //!
-//! With `--smoke` only the full-Douban leg runs, with a pinned 64 MiB
+//! With `--smoke` only the full-Douban leg runs, with a pinned 16 MiB
 //! `Fail` budget and hard assertions (build fits, gauges emitted, TA
 //! agrees with BF, persist round-trips); the same `BENCH_scale.json` and
 //! journal are still written so CI can archive them.
@@ -64,8 +64,9 @@ const DOUBAN_EVENTS: usize = 12_955;
 const LIVE_EVENT_WINDOW: usize = DOUBAN_EVENTS;
 
 /// Pinned budget of the full-Douban leg (also the `--smoke` gate): the
-/// bytes-per-pair regression gate, ≈ 2.7× the 23.8 MiB the leg accounts.
-const FULL_LEG_BUDGET_MIB: usize = 64;
+/// bytes-per-pair tripwire, ≈ 1.3× the ≈ 12.1 MiB the leg accounts at 16
+/// bytes a pair.
+const FULL_LEG_BUDGET_MIB: usize = 16;
 
 /// One point of the sweep.
 struct Leg {
@@ -97,7 +98,7 @@ fn legs(smoke: bool) -> Vec<Leg> {
             budget: MemBudget::fail_at_mib(64),
         },
         full,
-        // 10× users: ≈ 237 MiB accounted at k = 8. The policy stays
+        // 10× users: ≈ 120 MiB accounted at k = 8. The policy stays
         // DegradeK (a daemon at this scale would rather lose k than fail);
         // the sweep records both the requested and the admitted k.
         Leg {
@@ -368,7 +369,7 @@ fn main() {
                     "      \"budget\": {{ \"limit_mib\": {lim}, \"policy\": \"{policy}\" }},\n",
                     "      \"build\": {{ \"build_ms\": {bms:.1}, \"requested_k\": {rk}, ",
                     "\"effective_k\": {ek}, \"candidate_pairs\": {pairs},\n",
-                    "        \"candidate_mib\": {cm:.3}, \"space_mib\": {sm:.3}, ",
+                    "        \"space_mib\": {sm:.3}, ",
                     "\"index_mib\": {im:.3}, \"total_mib\": {tm:.3}, \"rss_mib\": {rss} }},\n",
                     "      \"serving\": {{ \"ta_qps\": {ta:.1}, \"bf_qps\": {bf:.1}, ",
                     "\"ta_speedup\": {sp:.2} }},\n",
@@ -387,7 +388,6 @@ fn main() {
                 rk = r.report.requested_k,
                 ek = r.report.effective_k,
                 pairs = r.candidate_pairs,
-                cm = mib(r.report.candidate_bytes),
                 sm = mib(r.report.space_bytes),
                 im = mib(r.report.index_bytes),
                 tm = mib(r.report.total_bytes),

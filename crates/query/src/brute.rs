@@ -3,9 +3,10 @@
 //! Scores every candidate pair against the query and selects the best `n`.
 //! Used both as the efficiency baseline of Table VI and as the correctness
 //! oracle for the TA implementation. It scores through the same
-//! `A + B + C` expression as TA's random access
-//! (`TransformedSpace::score`), so the two methods' scores are
-//! bit-identical and only the set of pairs examined differs.
+//! `A + B + C` sum as TA's random access (`TransformedSpace::score`), so
+//! the two methods' scores are bit-identical and only the set of pairs
+//! examined differs. It walks the space one partner row at a time, so a
+//! row's `B` is read once and no pair pays a division for its row.
 
 use crate::transform::TransformedSpace;
 use gem_ebsn::{EventId, UserId};
@@ -46,8 +47,8 @@ impl<'s> BruteForce<'s> {
     /// Candidates rejected by `filter` are skipped. Results are sorted by
     /// descending score. The A and B keys are filled by the same two
     /// `dot_batch` sweeps over the space's row matrices that TA runs; every
-    /// pair the filter admits is then scored by three lookups and selected
-    /// from; only the final `n` results are copied out.
+    /// pair the filter admits is then scored by two lookups and its `C` and
+    /// selected from; only the final `n` results are copied out.
     pub fn top_n_with(
         &self,
         q: &[f32],
@@ -61,12 +62,15 @@ impl<'s> BruteForce<'s> {
         let qw = q[2 * space.k()];
         let scored = &mut scratch.scored;
         scored.clear();
-        for i in 0..space.len() {
-            let (p, x) = space.pair(i);
-            if !filter(p, x) {
-                continue;
+        for ((p, row), &b) in space.partner_rows().zip(&scratch.b_keys) {
+            for &(c, event_row) in row {
+                let x = space.event_ids[event_row as usize];
+                if !filter(p, x) {
+                    continue;
+                }
+                // `TransformedSpace::score`, with the row's `B` hoisted.
+                scored.push((scratch.a_keys[event_row as usize] + b + c * qw, p, x));
             }
-            scored.push((space.score(i, &scratch.a_keys, &scratch.b_keys, qw), p, x));
         }
         let take = n.min(scored.len());
         if take == 0 {
@@ -88,13 +92,14 @@ impl<'s> BruteForce<'s> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::top_k_events_per_partner;
     use crate::transform::toy_model;
 
     fn space() -> TransformedSpace {
         let model = toy_model();
-        let candidates: Vec<(UserId, EventId)> =
-            (0..3).flat_map(|p| (0..2).map(move |x| (UserId(p), EventId(x)))).collect();
-        TransformedSpace::build(&model, &candidates)
+        let partners: Vec<UserId> = (0..3).map(UserId).collect();
+        let events: Vec<EventId> = (0..2).map(EventId).collect();
+        TransformedSpace::build(&model, &top_k_events_per_partner(&model, &partners, &events, 2))
     }
 
     #[test]

@@ -1,17 +1,18 @@
 //! Memory-budgeted engine construction.
 //!
 //! The serving engine's resident size is a pure function of the pool sizes
-//! and the pruning parameter: `pairs = partners · min(k, events)` candidate
-//! pairs, each costing a known number of bytes in the candidate list, the
-//! (factored) transformed space and the TA index — 40 in all — plus one
-//! `K`-float row per distinct event and partner. [`MemBudget`] turns the
-//! `space_mib` number every bench already reports into a *hard constraint*
-//! at build time: the build projects its footprint up front, then verifies
-//! the actual bytes after every phase. Exceeding the budget either fails
-//! the build ([`BudgetPolicy::Fail`]) or degrades `k` to the largest value
-//! that fits ([`BudgetPolicy::DegradeK`]) — the §IV pruning knob is exactly
-//! the quality-for-space dial the paper provides, so degradation stays on
-//! the curve the evaluation section characterizes.
+//! (repeats dropped) and the pruning parameter: `pairs = partners ·
+//! min(k, events)` candidate pairs at 16 bytes each in the (factored)
+//! transformed space and the TA index — the pruning output *is* the space,
+//! so there is no separate candidate list — plus one `K`-float row and one
+//! id per distinct event and partner. [`MemBudget`] turns the `space_mib`
+//! number every bench already reports into a *hard constraint* at build
+//! time: the build projects its footprint up front, then verifies the
+//! actual bytes after every phase. Exceeding the budget either fails the
+//! build ([`BudgetPolicy::Fail`]) or degrades `k` to the largest value that
+//! fits ([`BudgetPolicy::DegradeK`]) — the §IV pruning knob is exactly the
+//! quality-for-space dial the paper provides, so degradation stays on the
+//! curve the evaluation section characterizes.
 
 /// What a budgeted build does when the projected footprint exceeds the
 /// limit.
@@ -24,12 +25,12 @@ pub enum BudgetPolicy {
     DegradeK,
 }
 
-/// A hard byte ceiling on the engine's candidate + space + index footprint.
+/// A hard byte ceiling on the engine's space + index footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemBudget {
-    /// The ceiling, in bytes, on the sum of candidate-list, transformed
-    /// space and TA-index bytes (the model itself is not counted: it
-    /// exists regardless of how the engine is built).
+    /// The ceiling, in bytes, on the sum of transformed-space and TA-index
+    /// bytes (the model itself is not counted: it exists regardless of how
+    /// the engine is built).
     pub limit_bytes: usize,
     /// What to do when the projection exceeds the ceiling.
     pub policy: BudgetPolicy,
@@ -102,7 +103,7 @@ pub enum BuildError {
     /// policy does not allow — or cannot find — a degraded `k` that fits.
     BudgetExceeded {
         /// Which accounting step tripped: `"projection"` (before any work)
-        /// or a build phase (`"prune"`, `"transform"`, `"index"`).
+        /// or a build phase (`"transform"`, `"index"`).
         phase: &'static str,
         /// Bytes the step needed.
         needed_bytes: usize,
@@ -133,14 +134,12 @@ pub struct BuildReport {
     /// The pruning parameter actually used (smaller than `requested_k`
     /// only under [`BudgetPolicy::DegradeK`]).
     pub effective_k: usize,
-    /// Bytes of the pruned candidate-pair list.
-    pub candidate_bytes: usize,
-    /// Bytes of the transformed space: per-pair ids, row ids and
-    /// interaction values, plus the two shared row matrices.
+    /// Bytes of the transformed space: per pair its interaction value and
+    /// event row, plus the two shared row matrices and their ids.
     pub space_bytes: usize,
-    /// Bytes of the TA index (the three orderings of the pairs).
+    /// Bytes of the TA index (the two stored orderings of the pairs).
     pub index_bytes: usize,
-    /// Sum of the three components above.
+    /// Sum of the two components above.
     pub total_bytes: usize,
     /// The budget ceiling the build ran under (`None` for unbudgeted
     /// builds, which record the same report through the `build.*` gauges).
@@ -153,20 +152,17 @@ pub struct BuildReport {
 /// structures, so `actual ≤ projected` always holds and a build admitted by
 /// the projection cannot trip the post-phase checks:
 ///
-/// * candidate list: `pairs` × 8 (two u32 ids) — exact;
-/// * transformed space: `pairs` × 20 (pair id, interaction value, two row
-///   ids) plus one `dim`-float row per group in the matrices the query
-///   computes its keys from;
-/// * TA index: `pairs` × 12 (three u32-per-pair orderings) plus one CSR
-///   offset per group and two terminators.
+/// * transformed space: `pairs` × 8 (interaction value, event row) plus,
+///   per group, one `dim`-float row in the matrices the query computes its
+///   keys from and its 4-byte id;
+/// * TA index: `pairs` × 8 (two u32-per-pair orderings) plus one CSR
+///   offset per event group and a terminator.
 ///
 /// Groups are counted as at most `min(pairs, events)` event groups and
 /// `min(pairs, partners)` partner groups — an upper bound, since distinct
 /// groups can collapse.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Projection {
-    /// Bytes of the candidate-pair list.
-    pub(crate) candidate_bytes: usize,
     /// Bytes of the transformed space.
     pub(crate) space_bytes: usize,
     /// Bytes of the TA index (upper bound).
@@ -179,18 +175,15 @@ impl Projection {
         let event_groups = pairs.min(events);
         let partner_groups = pairs.min(partners);
         Self {
-            candidate_bytes: pairs.saturating_mul(8),
             space_bytes: pairs
-                .saturating_mul(20)
-                .saturating_add((event_groups + partner_groups).saturating_mul(dim * 4)),
-            index_bytes: pairs
-                .saturating_mul(12)
-                .saturating_add((event_groups + partner_groups + 2) * 4),
+                .saturating_mul(8)
+                .saturating_add((event_groups + partner_groups).saturating_mul(dim * 4 + 4)),
+            index_bytes: pairs.saturating_mul(8).saturating_add((event_groups + 1) * 4),
         }
     }
 
     pub(crate) fn total(&self) -> usize {
-        self.candidate_bytes.saturating_add(self.space_bytes).saturating_add(self.index_bytes)
+        self.space_bytes.saturating_add(self.index_bytes)
     }
 }
 
@@ -276,7 +269,9 @@ mod proptests {
         /// The projection is what admits a build, so it must never
         /// under-count one: every component of a real build's report stays
         /// at or under its projected bytes, for any pool shape — including
-        /// partner pools that repeat a user and `k` past the event count.
+        /// pools that repeat a partner or an event and `k` past the event
+        /// count. The projection sees the pools with repeats dropped, as
+        /// the build does.
         #[test]
         fn projection_bounds_a_real_build(
             dim in 1usize..9,
@@ -284,6 +279,7 @@ mod proptests {
             nx in 1usize..20,
             k in 0usize..24,
             repeat in 0usize..3,
+            repeat_events in 0usize..3,
             seed in 0u64..1000,
         ) {
             let mut rng = gem_sampling::rng_from_seed(seed);
@@ -292,7 +288,8 @@ mod proptests {
             let model = GemModel::from_raw(dim, users, events, vec![], vec![], vec![]);
             let mut partners: Vec<UserId> = (0..np as u32).map(UserId).collect();
             partners.extend((0..repeat.min(np) as u32).map(UserId));
-            let event_ids: Vec<EventId> = (0..nx as u32).map(EventId).collect();
+            let mut event_ids: Vec<EventId> = (0..nx as u32).map(EventId).collect();
+            event_ids.extend((0..repeat_events.min(nx) as u32).map(EventId));
             let (_, report) = RecommendationEngine::build_within_budget(
                 model,
                 &partners,
@@ -303,8 +300,7 @@ mod proptests {
                 ServeTracing::disabled(),
             )
             .expect("a 64 MiB ceiling admits every pool this test draws");
-            let projected = Projection::new(partners.len(), nx, dim, k);
-            prop_assert!(report.candidate_bytes <= projected.candidate_bytes);
+            let projected = Projection::new(np, nx, dim, k);
             prop_assert!(report.space_bytes <= projected.space_bytes);
             prop_assert!(
                 report.index_bytes <= projected.index_bytes,

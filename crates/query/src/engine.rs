@@ -1,10 +1,10 @@
 //! End-to-end online recommendation engine.
 //!
 //! Wires the §IV pipeline together: prune candidates (top-k events per
-//! partner) → transform them into the factored space (one `C = u'ᵀx` per
-//! pair, one shared row per distinct event and partner) → build the TA
-//! index → serve top-n `(partner, event)` recommendations per target user
-//! via either GEM-TA or GEM-BF.
+//! partner) → take the pruned array over as the factored space (its scores
+//! are the per-pair `C = u'ᵀx`; one shared row per distinct event and
+//! partner) → build the TA index → serve top-n `(partner, event)`
+//! recommendations per target user via either GEM-TA or GEM-BF.
 //!
 //! One query core serves every entry point: the plain engine's
 //! [`RecommendationEngine::try_recommend_with`] and the churn-overlaid
@@ -14,13 +14,13 @@
 use crate::brute::{BruteForce, BruteScratch};
 use crate::budget::{BuildError, BuildReport, MemBudget};
 use crate::metrics::EngineMetrics;
-use crate::prune::{top_k_events_per_partner, unique_partners};
+use crate::prune::{unique, Candidates};
 use crate::ta::{TaCompletion, TaIndex, TaScratch, TaSearch, TaStats};
 use crate::transform::TransformedSpace;
 use gem_core::math::dot;
 use gem_core::GemModel;
 use gem_ebsn::{EventId, UserId};
-use gem_obs::Tracer;
+use gem_obs::{Gauge, Tracer};
 use rayon::prelude::*;
 use std::time::Instant;
 
@@ -147,19 +147,29 @@ impl ServeScratch {
     }
 }
 
-/// Start of a phase that began at `t`, on `tracer`'s clock.
-fn phase_start(tracer: &Tracer, t: &Instant) -> u64 {
-    tracer.now_ns().saturating_sub(t.elapsed().as_nanos() as u64)
+/// Close the build phase `name` that began at `t`: its wall-clock into
+/// `gauge` and a `build` span, carrying `args`, onto `tracer`.
+fn end_phase(
+    tracer: &Tracer,
+    gauge: &Gauge,
+    name: &'static str,
+    t: Instant,
+    args: &[(&'static str, u64)],
+) {
+    let ns = t.elapsed().as_nanos() as u64;
+    gauge.set(ns as f64);
+    tracer.record_span(name, "build", tracer.now_ns().saturating_sub(ns), ns, args);
 }
 
-/// The tail of every engine build, one-shot or incremental: transform the
-/// pruned `candidates`, index the space, account for both — `build.*`
-/// spans on `tracing`'s tracer, phase timings and resident bytes in the
-/// `build.*` gauges, and a hard byte check after each phase when `limit` is
-/// set — and return the engine. `Err` is only reachable with a limit.
+/// The tail of every engine build, one-shot or incremental: turn the
+/// pruned `candidates` into the space, index it, account for both —
+/// `build.*` spans on `tracing`'s tracer, phase timings and resident bytes
+/// in the `build.*` gauges, and a hard byte check after each phase when
+/// `limit` is set — and return the engine. `Err` is only reachable with a
+/// limit.
 pub(crate) fn index_candidates(
     model: GemModel,
-    candidates: &[(UserId, EventId)],
+    candidates: Candidates,
     top_k: usize,
     limit: Option<usize>,
     metrics: EngineMetrics,
@@ -171,38 +181,19 @@ pub(crate) fn index_candidates(
         }
         _ => Ok(()),
     };
-    let tracer = &tracing.tracer;
-    let candidate_bytes = std::mem::size_of_val(candidates);
-    check("prune", candidate_bytes)?;
-
-    let t1 = Instant::now();
-    let space = TransformedSpace::build(&model, candidates);
-    let transform_ns = t1.elapsed().as_nanos() as u64;
-    metrics.build_transform_ns.set(transform_ns as f64);
-    tracer.record_span(
-        "build.transform",
-        "build",
-        phase_start(tracer, &t1),
-        transform_ns,
-        &[("pairs", space.len() as u64)],
-    );
+    let (tracer, t) = (&tracing.tracer, Instant::now());
+    let space = TransformedSpace::from_candidates(&model, candidates);
+    let pairs = [("pairs", space.len() as u64)];
+    end_phase(tracer, &metrics.build_transform_ns, "build.transform", t, &pairs);
     let space_bytes = space.bytes();
-    check("transform", candidate_bytes + space_bytes)?;
+    check("transform", space_bytes)?;
 
     // Build the TA index eagerly: an engine exists to be queried.
-    let t2 = Instant::now();
+    let t = Instant::now();
     let index = TaIndex::build(&space);
-    let index_ns = t2.elapsed().as_nanos() as u64;
-    metrics.build_index_ns.set(index_ns as f64);
-    tracer.record_span(
-        "build.index",
-        "build",
-        phase_start(tracer, &t2),
-        index_ns,
-        &[("pairs", space.len() as u64)],
-    );
+    end_phase(tracer, &metrics.build_index_ns, "build.index", t, &pairs);
     let index_bytes = index.bytes();
-    let total_bytes = candidate_bytes + space_bytes + index_bytes;
+    let total_bytes = space_bytes + index_bytes;
     check("index", total_bytes)?;
 
     metrics.build_candidate_pairs.set(space.len() as f64);
@@ -216,7 +207,6 @@ pub(crate) fn index_candidates(
     let report = BuildReport {
         requested_k: top_k,
         effective_k: top_k,
-        candidate_bytes,
         space_bytes,
         index_bytes,
         total_bytes,
@@ -229,11 +219,11 @@ pub(crate) fn index_candidates(
 ///
 /// The engine is built offline from a model snapshot, a partner pool, an
 /// event pool (typically the upcoming/cold-start events) and the pruning
-/// parameter `k`. A partner listed more than once is kept once, at its
-/// first position, so every candidate pair is served at most once.
+/// parameter `k`. A partner or event listed more than once is kept once, at
+/// its first position, so every candidate pair is served at most once.
 pub struct RecommendationEngine {
     pub(crate) model: GemModel,
-    space: TransformedSpace,
+    pub(crate) space: TransformedSpace,
     index: TaIndex,
     pub(crate) metrics: EngineMetrics,
     tracing: ServeTracing,
@@ -248,17 +238,10 @@ impl RecommendationEngine {
         events: &[EventId],
         top_k_events: usize,
     ) -> Self {
-        let (engine, _report) = Self::build_phases(
-            model,
-            partners,
-            events,
-            top_k_events,
-            None,
-            EngineMetrics::disabled(),
-            ServeTracing::disabled(),
-        )
-        .expect("unbudgeted build cannot exceed a budget");
-        engine
+        let (metrics, tracing) = (EngineMetrics::disabled(), ServeTracing::disabled());
+        let built =
+            Self::build_phases(model, partners, events, top_k_events, None, metrics, tracing);
+        built.expect("unbudgeted build cannot exceed a budget").0
     }
 
     /// Build under a hard memory ceiling (see [`MemBudget`]): the footprint
@@ -283,7 +266,7 @@ impl RecommendationEngine {
         Self::build_phases(model, partners, events, top_k_events, Some(budget), metrics, tracing)
     }
 
-    /// The build pipeline: dedupe the partners, resolve `k` against the
+    /// The build pipeline: dedupe the pools, resolve `k` against the
     /// budget, prune, then [`index_candidates`]. `Err` is only reachable
     /// with a budget.
     fn build_phases(
@@ -295,26 +278,18 @@ impl RecommendationEngine {
         metrics: EngineMetrics,
         tracing: ServeTracing,
     ) -> Result<(Self, BuildReport), BuildError> {
-        let partners = unique_partners(partners);
+        let (partners, events) = (unique(partners), unique(events));
+        let (num_partners, num_events) = (partners.len(), events.len());
         let k = match budget {
-            Some(b) => b.resolve_k(partners.len(), events.len(), model.dim, top_k_events)?,
+            Some(b) => b.resolve_k(num_partners, num_events, model.dim, top_k_events)?,
             None => top_k_events,
         };
-        let tracer = &tracing.tracer;
-        let t0 = Instant::now();
-        let candidates = top_k_events_per_partner(&model, &partners, events, k);
-        let prune_ns = t0.elapsed().as_nanos() as u64;
-        metrics.build_prune_ns.set(prune_ns as f64);
-        tracer.record_span(
-            "build.prune",
-            "build",
-            phase_start(tracer, &t0),
-            prune_ns,
-            &[("partners", partners.len() as u64), ("events", events.len() as u64)],
-        );
+        let t = Instant::now();
+        let candidates = Candidates::prune(&model, partners, &events, k);
+        let pools = [("partners", num_partners as u64), ("events", num_events as u64)];
+        end_phase(&tracing.tracer, &metrics.build_prune_ns, "build.prune", t, &pools);
         let limit = budget.map(|b| b.limit_bytes);
-        let (engine, mut report) =
-            index_candidates(model, &candidates, k, limit, metrics, tracing)?;
+        let (engine, mut report) = index_candidates(model, candidates, k, limit, metrics, tracing)?;
         report.requested_k = top_k_events;
         Ok((engine, report))
     }
@@ -716,11 +691,7 @@ mod tests {
         assert_eq!(report.effective_k, 2);
         assert_eq!(report.space_bytes, e.space_bytes());
         assert_eq!(report.index_bytes, e.index_bytes());
-        assert_eq!(report.candidate_bytes, e.num_candidates() * 8);
-        assert_eq!(
-            report.total_bytes,
-            report.candidate_bytes + report.space_bytes + report.index_bytes
-        );
+        assert_eq!(report.total_bytes, report.space_bytes + report.index_bytes);
         assert_eq!(report.limit_bytes, Some(64 << 20));
         assert!(report.total_bytes <= 64 << 20);
         let snap = reg.snapshot();
@@ -890,8 +861,8 @@ mod tests {
 
     /// Regression: a partner listed twice put each of its pairs into the
     /// candidate set twice, so one top-n served the same pair twice —
-    /// through TA, brute force and a snapshot alike. Repeats are dropped at
-    /// build entry, keeping the first occurrence.
+    /// through TA, brute force and a snapshot alike. Repeats are dropped
+    /// before pruning, keeping the first occurrence.
     #[test]
     fn repeated_partner_serves_each_pair_once() {
         let pool = [UserId(1), UserId(2), UserId(1)];
@@ -907,6 +878,39 @@ mod tests {
         let got = inc.snapshot().try_top_n(UserId(0), 6, &mut ServeScratch::new()).unwrap();
         assert_eq!(got, unique.recommend(UserId(0), 6, Method::Ta).0);
         assert_eq!(e.num_candidates(), 4);
+    }
+
+    /// Regression: an event listed twice filled two of a partner's top-k
+    /// slots, so TA and brute force served that pair twice and pushed a
+    /// real candidate out. Repeats are dropped where partners' are, before
+    /// the budget sees the pool.
+    #[test]
+    fn repeated_event_serves_each_pair_once() {
+        let partners = [UserId(1), UserId(2)];
+        let pool = [EventId(0), EventId(0), EventId(1)];
+        let e = RecommendationEngine::build(toy_model(), &partners, &pool, 2);
+        let unique = RecommendationEngine::build(toy_model(), &partners, &pool[1..], 2);
+        for method in [Method::Ta, Method::BruteForce] {
+            let want = unique.recommend(UserId(0), 4, method);
+            assert_eq!(e.recommend(UserId(0), 4, method), want, "{method:?}");
+        }
+        assert_eq!(e.num_candidates(), 4);
+        // The budget projects the deduplicated pool: k = 3 over two
+        // distinct events fits a ceiling sized for k = 2.
+        let limit = crate::budget::Projection::new(2, 2, 2, 2).total();
+        let budget = MemBudget { limit_bytes: limit, policy: crate::BudgetPolicy::Fail };
+        let metrics = EngineMetrics::disabled();
+        let tracing = ServeTracing::disabled();
+        let built = RecommendationEngine::build_within_budget(
+            toy_model(),
+            &partners,
+            &pool,
+            3,
+            budget,
+            metrics,
+            tracing,
+        );
+        assert!(built.is_ok(), "{:?}", built.err());
     }
 
     // --- span tracing: build phases + two-tier per-query spans ---

@@ -17,14 +17,15 @@
 //!   (they are small by construction — past the staleness budget the owner
 //!   rebuilds) and merged with the base TA results.
 //!
-//! The maintained invariant is exactly the §IV pruning rule: after any
-//! sequence of [`IncrementalEngine::add_event`] /
-//! [`IncrementalEngine::retire_event`] calls, the served candidate set
-//! equals `top_k_events_per_partner(model, partners, live_events, k)` —
-//! the same pairs, with bitwise-identical scores, as an engine rebuilt
-//! from scratch on the final event set (property-tested below). Delta
-//! scores are computed with the same `A + B + C` decomposition as the TA
-//! random access, so base and delta candidates are directly comparable.
+//! The maintained invariant is exactly the §IV pruning rule, held
+//! literally: the master's tops are a pruning output ([`Candidates`]) equal
+//! bit for bit to `top_k_events_per_partner(model, partners, live_events,
+//! k)` after any sequence of [`IncrementalEngine::add_event`] /
+//! [`IncrementalEngine::retire_event`] calls, and a snapshot serves the
+//! same pairs and score bits as an engine rebuilt from scratch on that
+//! live set (both property-tested below): delta pairs carry their prune
+//! score as `C` and score through the same `A + B + C` as the base. A pair
+//! is in the base iff its partner's base row (≤ `k` entries) holds it.
 //!
 //! Ownership is split for the serving daemon: one maintenance thread owns
 //! the mutable [`IncrementalEngine`] master and periodically publishes an
@@ -39,8 +40,7 @@ use crate::engine::{
     ServeError, ServeScratch, ServeTracing,
 };
 use crate::metrics::EngineMetrics;
-use crate::prune::{cmp_entry, partner_top, unique_partners};
-use gem_core::math::dot;
+use crate::prune::{cmp_entry, unique, Candidates};
 use gem_core::{EventScorer, GemModel};
 use gem_ebsn::{EventId, UserId};
 use std::collections::{HashMap, HashSet};
@@ -79,11 +79,9 @@ impl std::error::Error for MaintError {}
 /// maintenance thread; serving threads query [`EngineSnapshot`]s published
 /// via [`Self::snapshot`].
 pub struct IncrementalEngine {
-    /// Immutable base generation, built from one pruning pass; shared by
-    /// the master and all live snapshots.
+    /// Immutable base generation, built from a copy of `tops`; shared by
+    /// the master and all live snapshots. Its partner rows are `tops`'.
     base: Arc<RecommendationEngine>,
-    /// The partner pool, repeats dropped.
-    partners: Vec<UserId>,
     top_k: usize,
     /// The prune-k the caller asked for. `top_k` can sit below this under a
     /// [`MemBudget`], and [`Self::rebuild`] re-resolves back toward it when
@@ -94,12 +92,10 @@ pub struct IncrementalEngine {
     budget: Option<MemBudget>,
     /// Live event ids, ascending.
     live: Vec<EventId>,
-    /// Per-partner pruned top-k (aligned with `partners`), each in
-    /// ranking order. Invariant: `tops[i] == prune::partner_top(model,
-    /// partners[i], live, min(top_k, live.len()))`.
-    tops: Vec<Vec<(f32, EventId)>>,
-    /// `(partner, event)` raw-id pairs present in the base space.
-    base_pairs: HashSet<(u32, u32)>,
+    /// The maintained pruning output over the partner pool (repeats
+    /// dropped). Invariant: `tops == top_k_events_per_partner(model,
+    /// partners, live, top_k)`.
+    tops: Candidates,
     /// Base pairs currently masked out of queries.
     removed: HashSet<(u32, u32)>,
     /// Overlay pairs not present in the base, the interaction `u'ᵀx` of
@@ -154,33 +150,24 @@ impl IncrementalEngine {
         budget: Option<MemBudget>,
         metrics: EngineMetrics,
     ) -> Result<Self, BuildError> {
-        let partners = unique_partners(partners);
-        let mut live: Vec<EventId> = events.to_vec();
+        let (partners, mut live) = (unique(partners), unique(events));
         live.sort_unstable();
-        live.dedup();
         let top_k = match budget {
             Some(b) => b.resolve_k(partners.len(), live.len(), model.dim, requested_k)?,
             None => requested_k,
         };
-        let take = top_k.min(live.len());
-        let mut scored = Vec::with_capacity(live.len());
-        let tops: Vec<Vec<(f32, EventId)>> = partners
-            .iter()
-            .map(|&p| partner_top(&model, p, &live, take, &mut scored).to_vec())
-            .collect();
+        let tops = Candidates::prune(&model, partners, &live, top_k);
         if let Some(b) = budget {
             metrics.build_budget_limit_bytes.set(b.limit_bytes as f64);
         }
-        let (base, base_pairs) = Self::base_from_tops(model, &partners, &tops, top_k, metrics);
+        let base = Self::base_from_tops(model, &tops, top_k, metrics);
         Ok(Self {
             base,
-            partners,
             top_k,
             requested_k,
             budget,
             live,
             tops,
-            base_pairs,
             removed: HashSet::new(),
             delta_pairs: Vec::new(),
             delta_c: Vec::new(),
@@ -194,23 +181,16 @@ impl IncrementalEngine {
     /// and [`Self::rebuild`] keeps serving even when no k fits any more.
     fn base_from_tops(
         model: GemModel,
-        partners: &[UserId],
-        tops: &[Vec<(f32, EventId)>],
+        tops: &Candidates,
         top_k: usize,
         metrics: EngineMetrics,
-    ) -> (Arc<RecommendationEngine>, HashSet<(u32, u32)>) {
-        let candidates: Vec<(UserId, EventId)> = partners
-            .iter()
-            .zip(tops)
-            .flat_map(|(&p, top)| top.iter().map(move |&(_, x)| (p, x)))
-            .collect();
-        let base_pairs: HashSet<(u32, u32)> = candidates.iter().map(|&(p, x)| (p.0, x.0)).collect();
+    ) -> Arc<RecommendationEngine> {
         // Rebuilds go through the same accounting as a first build, so the
         // `build.*` gauges stay truthful under churn.
-        let (base, _report) =
-            index_candidates(model, &candidates, top_k, None, metrics, ServeTracing::disabled())
-                .expect("a build without a byte limit cannot exceed one");
-        (Arc::new(base), base_pairs)
+        let tracing = ServeTracing::disabled();
+        let (base, _report) = index_candidates(model, tops.clone(), top_k, None, metrics, tracing)
+            .expect("a build without a byte limit cannot exceed one");
+        Arc::new(base)
     }
 
     /// The model the engine serves.
@@ -269,20 +249,24 @@ impl IncrementalEngine {
         };
         self.live.insert(pos, x);
         let take = self.top_k.min(self.live.len());
-        for i in 0..self.partners.len() {
-            let p = self.partners[i];
-            let entry = (self.base.model.score_event(p, x) as f32, x);
-            if self.tops[i].len() < take {
-                // The top held every live event (|live| ≤ k): it grows.
-                insert_ranked(&mut self.tops[i], entry);
-                self.mark_present(p, x);
-            } else if take > 0 {
-                let worst = *self.tops[i].last().expect("top is non-empty when take > 0");
-                if cmp_entry(&entry, &worst).is_lt() {
-                    insert_ranked(&mut self.tops[i], entry);
-                    let evicted = self.tops[i].pop().expect("overflow entry");
-                    self.mark_absent(p, evicted.1);
-                    self.mark_present(p, x);
+        if take > self.tops.take() {
+            // Every row held every live event (|live| ≤ k): each gains `x`.
+            self.prune_live();
+            for g in 0..self.tops.partners().len() {
+                let entry = *self.tops.row(g).iter().find(|e| e.1 == x).expect("every row holds x");
+                self.mark_present(g, entry);
+            }
+        } else if take > 0 {
+            for g in 0..self.tops.partners().len() {
+                let entry = (self.base.model.score_event(self.tops.partners()[g], x) as f32, x);
+                let row = self.tops.row_mut(g);
+                let evicted = row[take - 1].1;
+                if cmp_entry(&entry, &row[take - 1]).is_lt() {
+                    let at = row.partition_point(|e| cmp_entry(e, &entry).is_lt());
+                    row[at..].rotate_right(1);
+                    row[at] = entry;
+                    self.mark_absent(g, evicted);
+                    self.mark_present(g, entry);
                 }
             }
         }
@@ -302,28 +286,33 @@ impl IncrementalEngine {
         };
         self.live.remove(pos);
         let take = self.top_k.min(self.live.len());
-        for i in 0..self.partners.len() {
-            let Some(at) = self.tops[i].iter().position(|e| e.1 == x) else {
-                continue;
-            };
-            let p = self.partners[i];
-            self.tops[i].remove(at);
-            self.mark_absent(p, x);
-            if self.tops[i].len() < take {
-                // |live| > k: exactly one slot opened up — promote the best
-                // live event not already in the top (same ranking order as
-                // the pruning pass, so the invariant is restored exactly).
-                let top = &self.tops[i];
+        if take < self.tops.take() {
+            // Every row held every live event (|live| ≤ k): each loses `x`.
+            self.prune_live();
+            for g in 0..self.tops.partners().len() {
+                self.mark_absent(g, x);
+            }
+        } else {
+            for g in 0..self.tops.partners().len() {
+                let Some(at) = self.tops.row(g).iter().position(|e| e.1 == x) else {
+                    continue;
+                };
+                // |live| > k: one slot opened up. The best live event not in
+                // the row ranks below every entry left in it (same ranking
+                // order as the pruning pass), so it fills the last slot.
+                let (p, row) = (self.tops.partners()[g], self.tops.row(g));
                 let refill = self
                     .live
                     .iter()
-                    .filter(|&&e| !top.iter().any(|t| t.1 == e))
+                    .filter(|&&e| !row.iter().any(|t| t.1 == e))
                     .map(|&e| (self.base.model.score_event(p, e) as f32, e))
-                    .min_by(cmp_entry);
-                if let Some(entry) = refill {
-                    insert_ranked(&mut self.tops[i], entry);
-                    self.mark_present(p, entry.1);
-                }
+                    .min_by(cmp_entry)
+                    .expect("more live events than `take`");
+                let row = self.tops.row_mut(g);
+                row[at..].rotate_left(1);
+                row[take - 1] = refill;
+                self.mark_absent(g, x);
+                self.mark_present(g, refill);
             }
         }
         self.ops_since_rebuild += 1;
@@ -347,7 +336,7 @@ impl IncrementalEngine {
     pub fn rebuild(&mut self) {
         if let Some(budget) = self.budget {
             let resolved = budget.resolve_k(
-                self.partners.len(),
+                self.tops.partners().len(),
                 self.live.len(),
                 self.base.model.dim,
                 self.requested_k,
@@ -358,10 +347,7 @@ impl IncrementalEngine {
         }
         let model = self.base.model.clone();
         let metrics = self.base.metrics.clone();
-        let (base, base_pairs) =
-            Self::base_from_tops(model, &self.partners, &self.tops, self.top_k, metrics);
-        self.base = base;
-        self.base_pairs = base_pairs;
+        self.base = Self::base_from_tops(model, &self.tops, self.top_k, metrics);
         self.removed.clear();
         self.delta_pairs.clear();
         self.delta_c.clear();
@@ -389,8 +375,8 @@ impl IncrementalEngine {
     /// [`BuildError::BudgetExceeded`] when the budgeted footprint no longer
     /// fits even at `k = 1` (e.g. the new model's dim grew).
     pub fn reload_model(&self, model: GemModel) -> Result<IncrementalEngine, BuildError> {
-        let metrics = self.base.metrics.clone();
-        Self::build_inner(model, &self.partners, &self.live, self.requested_k, self.budget, metrics)
+        let (partners, metrics) = (self.tops.partners(), self.base.metrics.clone());
+        Self::build_inner(model, partners, &self.live, self.requested_k, self.budget, metrics)
     }
 
     /// Publish an immutable queryable view of the current state. Cheap:
@@ -409,50 +395,42 @@ impl IncrementalEngine {
     }
 
     /// Move the in-force prune-k to `k`, restoring the tops invariant for
-    /// the new value. Shrinking truncates each ranked top; growing
-    /// recomputes from the live set (rare — only after heavy retirement).
-    /// Only called from [`Self::rebuild`], which folds the result into a
-    /// fresh base immediately, so the overlays need no patching here.
+    /// the new value: shrinking truncates each ranked row, growing prunes
+    /// the live set again. Only [`Self::rebuild`] calls this, and it folds
+    /// the result into a fresh base at once, so no overlay needs patching.
     fn retarget_k(&mut self, k: usize) {
-        use std::cmp::Ordering::*;
-        let take = k.min(self.live.len());
-        match k.cmp(&self.top_k) {
-            Equal => return,
-            Less => {
-                for top in &mut self.tops {
-                    top.truncate(take);
-                }
-            }
-            Greater => {
-                let mut scored = Vec::with_capacity(self.live.len());
-                for (top, &p) in self.tops.iter_mut().zip(&self.partners) {
-                    if top.len() < take {
-                        *top = partner_top(&self.base.model, p, &self.live, take, &mut scored)
-                            .to_vec();
-                    }
-                }
-            }
+        let old = std::mem::replace(&mut self.top_k, k);
+        if k < old {
+            self.tops.truncate_rows(k);
+        } else if k.min(self.live.len()) > self.tops.take() {
+            self.prune_live();
         }
-        self.top_k = k;
     }
 
-    /// Record `(p, x)` as part of the served candidate set.
-    fn mark_present(&mut self, p: UserId, x: EventId) {
+    /// Prune the live set afresh at the k in force: every row changes when
+    /// the stride does, which only happens while |live| ≤ k.
+    fn prune_live(&mut self) {
+        let partners = self.tops.partners().to_vec();
+        self.tops = Candidates::prune(&self.base.model, partners, &self.live, self.top_k);
+    }
+
+    /// Record partner row `g`'s entry `(C, x)` as served.
+    fn mark_present(&mut self, g: usize, (c, x): (f32, EventId)) {
+        let p = self.tops.partners()[g];
         let key = (p.0, x.0);
-        if self.base_pairs.contains(&key) {
+        if self.base.space.serves(g, x) {
             self.removed.remove(&key);
         } else if !self.delta_slot.contains_key(&key) {
-            let model = &self.base.model;
             self.delta_slot.insert(key, self.delta_pairs.len());
             self.delta_pairs.push((p, x));
-            self.delta_c.push(dot(model.user_vec(p), model.event_vec(x)));
+            self.delta_c.push(c);
         }
     }
 
-    /// Record `(p, x)` as no longer part of the served candidate set.
-    fn mark_absent(&mut self, p: UserId, x: EventId) {
-        let key = (p.0, x.0);
-        if self.base_pairs.contains(&key) {
+    /// Record partner row `g`'s pair with `x` as no longer served.
+    fn mark_absent(&mut self, g: usize, x: EventId) {
+        let key = (self.tops.partners()[g].0, x.0);
+        if self.base.space.serves(g, x) {
             self.removed.insert(key);
         } else if let Some(slot) = self.delta_slot.remove(&key) {
             self.delta_pairs.swap_remove(slot);
@@ -462,12 +440,6 @@ impl IncrementalEngine {
             }
         }
     }
-}
-
-/// Insert `entry` into a ranking-ordered vector at its rank position.
-fn insert_ranked(top: &mut Vec<(f32, EventId)>, entry: (f32, EventId)) {
-    let at = top.partition_point(|e| cmp_entry(e, &entry).is_lt());
-    top.insert(at, entry);
 }
 
 /// Immutable queryable view published by [`IncrementalEngine::snapshot`]:
@@ -544,6 +516,7 @@ impl EngineSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::top_k_events_per_partner;
     use crate::transform::toy_model;
     use rand::RngExt;
 
@@ -559,16 +532,22 @@ mod tests {
         recs.iter().map(|r| r.score.to_bits()).collect()
     }
 
-    /// The first of `users` for whom `inc`'s snapshot and the oracle — an
-    /// engine rebuilt from scratch on the current live set — disagree, if
-    /// any. Scores must match bit for bit, rank by rank: delta and base
-    /// pairs score through the same `A + B + C`.
+    /// Where `inc` departs from the oracle, if anywhere: first its tops
+    /// against the pruning pass over the current live set (the whole
+    /// structure, scores by bits), then, for the first of `users` where
+    /// they disagree, its snapshot against an engine rebuilt from scratch
+    /// on that live set. Scores must match bit for bit, rank by rank: delta
+    /// and base pairs score through the same `A + B + C`.
     pub(super) fn scratch_mismatch(
         inc: &IncrementalEngine,
         partners: &[UserId],
         users: &[UserId],
         n: usize,
     ) -> Option<String> {
+        let pruned = top_k_events_per_partner(inc.model(), partners, inc.live_events(), inc.top_k);
+        if inc.tops.to_bits() != pruned.to_bits() {
+            return Some(format!("tops {:?} vs pruned {:?}", inc.tops, pruned));
+        }
         let model = inc.model().clone();
         let oracle = RecommendationEngine::build(model, partners, inc.live_events(), inc.top_k);
         let snap = inc.snapshot();

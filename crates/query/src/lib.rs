@@ -7,17 +7,17 @@
 //! 1. [`transform`] — map each candidate pair `(x, u')` to the point
 //!    `p = (x, u', u'ᵀx)` in a `2K+1`-dimensional space, and the target
 //!    user to the query `q = (u, u, 1)`; then `q·p` equals the triple score
-//!    exactly. The points are stored factored — one `u'ᵀx` per pair, one
-//!    shared row per distinct event and partner — and the space owns the
-//!    one scoring expression `A + B + C` every retrieval method uses.
+//!    exactly. The points are stored factored — per pair its `u'ᵀx` and
+//!    event row (8 bytes), one shared row per distinct event and partner —
+//!    and the space owns the one scoring expression `A + B + C`.
 //! 2. [`prune`] — keep only each partner's top-k events as candidate pairs
 //!    (a partner won't accept an invitation to an event they dislike),
-//!    shrinking the space from `|U|·|X|` to `|U|·k`.
-//! 3. [`ta`] — Fagin's Threshold Algorithm over per-dimension sorted lists:
-//!    returns the exact top-n while touching a small fraction of points
-//!    (the non-negativity of rectified embeddings makes `q·p` monotone per
-//!    dimension, which is TA's correctness requirement). The index holds
-//!    only orderings of the space's pairs.
+//!    shrinking the space from `|U|·|X|` to `|U|·k`. The output,
+//!    [`Candidates`], is partner-major with a fixed stride and its scores
+//!    are the `u'ᵀx`, so the space takes it over as is.
+//! 3. [`ta`] — Fagin's Threshold Algorithm over composite sorted lists:
+//!    the exact top-n while touching a small fraction of points. The index
+//!    holds only the orderings the space does not imply (8 bytes a pair).
 //! 4. [`brute`] — the exhaustive scorer over the same factored space, used
 //!    as the GEM-BF baseline and as the correctness oracle for TA.
 //! 5. [`engine`] — the end-to-end [`RecommendationEngine`]: one build
@@ -71,6 +71,6 @@ pub use engine::{
 };
 pub use incremental::{EngineSnapshot, IncrementalEngine, MaintError};
 pub use metrics::EngineMetrics;
-pub use prune::top_k_events_per_partner;
+pub use prune::{top_k_events_per_partner, Candidates};
 pub use ta::{TaCompletion, TaIndex, TaScratch, TaStats};
 pub use transform::TransformedSpace;

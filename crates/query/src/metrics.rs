@@ -51,7 +51,7 @@ pub struct EngineMetrics {
     pub(crate) build_space_bytes: Gauge,
     /// `build.index_bytes` — TA-index bytes, last build.
     pub(crate) build_index_bytes: Gauge,
-    /// `build.total_bytes` — candidate + space + index bytes, last build.
+    /// `build.total_bytes` — space + index bytes, last build.
     pub(crate) build_total_bytes: Gauge,
     /// `build.budget_limit_bytes` — the [`crate::MemBudget`] ceiling of the
     /// last *budgeted* build (untouched by unbudgeted builds).

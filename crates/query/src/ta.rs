@@ -33,36 +33,26 @@
 //!
 //! # Serving-path layout
 //!
-//! The [`TransformedSpace`] owns everything a score is made of — pair
-//! identities, the per-pair `C`, each pair's event / partner row id and the
-//! two row matrices the keys come from. The index owns only *orderings* of
-//! those pairs, all `u32`: the two group tables and the C-list.
-//!
-//! The group structure is stored in CSR form (one flat member array plus a
-//! `groups+1` offset array per axis) so that a query never copies it: the
-//! per-query `GroupCursor`s *borrow* the index. All per-query working
-//! memory — composite keys, group heaps, the visited set, the top-n
-//! heap — lives in a caller-owned [`TaScratch`] that [`TaIndex::top_n_with`]
-//! reuses across calls, so a serving thread allocates only the final result
-//! vector once warmed up. The visited set is epoch-stamped: clearing it
-//! between queries is a counter bump, not an `O(pairs)` memset.
+//! The [`TransformedSpace`] owns everything a score is made of; the index
+//! owns only the orderings the space does not imply, all `u32`, 8 bytes a
+//! pair: the event groups (CSR — a flat member array plus `groups+1`
+//! offsets that the per-query `GroupCursor`s borrow, never copy) and the
+//! C-list. The partner groups need no table: the space is partner-major
+//! with a fixed stride, so partner row `g` is pairs `g·take .. (g+1)·take`.
+//! All per-query working memory — keys, group heaps, the visited bitset
+//! (one bit a pair; a query zeroes the words it dirtied, `O(visited)`),
+//! the top-n heap — lives in a caller-owned [`TaScratch`], so a warm
+//! serving thread allocates only the result vector.
 //!
 //! A query scores a sliver of the pairs (Table VI), so what it pays is the
-//! prologue that runs before the first round, and the layout is chosen to
-//! keep that small:
-//!
-//! * **Keys from two contiguous matrices in one batched pass each**
-//!   (`TransformedSpace::fill_keys`), bit-identical to the row-at-a-time
-//!   form on every SIMD backend.
-//! * **Groups ordered lazily.** The search opens a handful of groups per
-//!   list, so the keys are heapified (`O(groups)`) rather than sorted, and
-//!   a group costs `O(log groups)` only when the cursor actually moves past
-//!   it. The heap order is total (`total_cmp` key, then ascending group
-//!   id), so it is the sequence a full sort would produce.
-//!
-//! Fixed cost per query: `O(groups·K + groups)`, plus `O(log groups)` per
-//! group actually opened. The worst case — `n ≥ pairs`, every group opened —
-//! is a heap sort, a constant factor slower than the single sort it replaces.
+//! prologue before the first round, and the layout keeps that small: the
+//! keys come from two contiguous matrices in one `dot_batch` pass each
+//! (`TransformedSpace::fill_keys`, bit-identical to the row-at-a-time form
+//! on every SIMD backend), and the groups are heapified (`O(groups)`)
+//! rather than sorted, a group costing `O(log groups)` only when a cursor
+//! moves past it. The heap order is total (`total_cmp` key, then ascending
+//! group id), so it is the sequence a full sort would produce; the worst
+//! case — `n ≥ pairs`, every group opened — is a heap sort.
 
 use crate::transform::TransformedSpace;
 use gem_ebsn::{EventId, UserId};
@@ -70,9 +60,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::time::Instant;
 
-/// Offline part of the TA engine: the three orderings of a space's pairs —
-/// grouped by event, grouped by partner (both CSR, groups numbered by the
-/// space's row ids) and sorted by interaction.
+/// Offline part of the TA engine: the orderings of a space's pairs that
+/// the space does not imply — grouped by event (CSR, groups numbered by the
+/// space's event rows) and sorted by interaction.
 #[derive(Debug, Clone)]
 pub struct TaIndex {
     /// CSR offsets into `event_members`, one entry per distinct event + 1.
@@ -80,10 +70,6 @@ pub struct TaIndex {
     /// Pair indices grouped by event (flat; group `g` spans
     /// `event_offsets[g]..event_offsets[g+1]`).
     event_members: Vec<u32>,
-    /// CSR offsets into `partner_members`, one per distinct partner + 1.
-    partner_offsets: Vec<u32>,
-    /// Pair indices grouped by partner (flat).
-    partner_members: Vec<u32>,
     /// All pair indices sorted by descending interaction value `u'ᵀx`.
     by_interaction: Vec<u32>,
 }
@@ -139,10 +125,10 @@ pub struct TaScratch {
     a_groups: BinaryHeap<GroupKey>,
     /// Partner groups not yet exhausted, best `B` on top.
     b_groups: BinaryHeap<GroupKey>,
-    /// Epoch stamps: pair `i` was visited this query iff `seen[i] == epoch`.
-    seen: Vec<u32>,
-    /// Current query epoch.
-    epoch: u32,
+    /// Visited pairs, one bit each; all zero between queries.
+    seen: Vec<u64>,
+    /// The words of `seen` this query set a bit in.
+    dirty: Vec<u32>,
     /// Running top-n (min-heap via inverted ordering).
     heap: BinaryHeap<HeapEntry>,
 }
@@ -210,24 +196,40 @@ fn heapify_groups(groups: &mut BinaryHeap<GroupKey>, keys: &[f32]) {
     *groups = BinaryHeap::from(entries);
 }
 
-/// Cursor descending through CSR groups by a per-group key; borrows both
-/// the index and the scratch-held group heap — no per-query copies. The
-/// group being consumed stays on top of the heap until [`Self::pop`] finds
-/// it exhausted, so [`Self::bound`] lags exactly one `pop` behind the last
+/// Where a group's pairs are: a CSR table (event groups), or a fixed
+/// stride of consecutive pair indices (partner groups).
+#[derive(Clone, Copy)]
+enum Members<'a> {
+    Csr { offsets: &'a [u32], members: &'a [u32] },
+    Stride(usize),
+}
+
+impl Members<'_> {
+    /// Member `pos` of group `g`, if the group has that many.
+    fn get(self, g: usize, pos: usize) -> Option<u32> {
+        match self {
+            Members::Csr { offsets, members } => {
+                let at = offsets[g] as usize + pos;
+                (at < offsets[g + 1] as usize).then(|| members[at])
+            }
+            Members::Stride(take) => (pos < take).then_some((g * take + pos) as u32),
+        }
+    }
+}
+
+/// Cursor descending through groups by a per-group key; borrows both the
+/// index and the scratch-held group heap — no per-query copies. The group
+/// being consumed stays on top of the heap until [`Self::pop`] finds it
+/// exhausted, so [`Self::bound`] lags exactly one `pop` behind the last
 /// member of a group.
 struct GroupCursor<'a> {
     /// Unexhausted groups, best key on top (from [`TaScratch`]).
     groups: &'a mut BinaryHeap<GroupKey>,
-    offsets: &'a [u32],
-    members: &'a [u32],
+    members: Members<'a>,
     within_pos: usize,
 }
 
-impl<'a> GroupCursor<'a> {
-    fn new(groups: &'a mut BinaryHeap<GroupKey>, offsets: &'a [u32], members: &'a [u32]) -> Self {
-        Self { groups, offsets, members, within_pos: 0 }
-    }
-
+impl GroupCursor<'_> {
     /// Current upper bound: the key of the group being consumed.
     fn bound(&self) -> f32 {
         self.groups.peek().map_or(f32::NEG_INFINITY, |g| g.key)
@@ -236,11 +238,7 @@ impl<'a> GroupCursor<'a> {
     /// Pop the next pair index, descending through groups.
     fn pop(&mut self) -> Option<u32> {
         while let Some(top) = self.groups.peek() {
-            let g = top.gid as usize;
-            let start = self.offsets[g] as usize;
-            let end = self.offsets[g + 1] as usize;
-            if start + self.within_pos < end {
-                let idx = self.members[start + self.within_pos];
+            if let Some(idx) = self.members.get(top.gid as usize, self.within_pos) {
                 self.within_pos += 1;
                 return Some(idx);
             }
@@ -251,19 +249,19 @@ impl<'a> GroupCursor<'a> {
     }
 }
 
-/// Scatter pair indices into CSR (offsets + flat members) given each pair's
-/// group id. Members within a group stay in ascending pair order.
-fn csr_from_gids(gids: &[u32], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
+/// Scatter pair indices into CSR (offsets + flat members) by each pair's
+/// event row. Members within a group stay in ascending pair order.
+fn event_csr(pairs: &[(f32, u32)], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
     let mut offsets = vec![0u32; num_groups + 1];
-    for &g in gids {
+    for &(_, g) in pairs {
         offsets[g as usize + 1] += 1;
     }
     for g in 0..num_groups {
         offsets[g + 1] += offsets[g];
     }
     let mut cursor: Vec<u32> = offsets[..num_groups].to_vec();
-    let mut members = vec![0u32; gids.len()];
-    for (i, &g) in gids.iter().enumerate() {
+    let mut members = vec![0u32; pairs.len()];
+    for (i, &(_, g)) in pairs.iter().enumerate() {
         members[cursor[g as usize] as usize] = i as u32;
         cursor[g as usize] += 1;
     }
@@ -271,42 +269,32 @@ fn csr_from_gids(gids: &[u32], num_groups: usize) -> (Vec<u32>, Vec<u32>) {
 }
 
 /// Pair indices by descending interaction value, ties by ascending index.
-fn interaction_order(keys: &[f32]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| keys[b as usize].total_cmp(&keys[a as usize]).then(a.cmp(&b)));
+fn interaction_order(pairs: &[(f32, u32)]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..pairs.len() as u32).collect();
+    let c = |i: u32| pairs[i as usize].0;
+    order.sort_unstable_by(|&a, &b| c(b).total_cmp(&c(a)).then(a.cmp(&b)));
     order
 }
 
 impl TaIndex {
-    /// Approximate resident bytes of the index arrays (all `u32`: 12 bytes
-    /// per pair plus the two offset tables). Input to the
+    /// Approximate resident bytes of the index arrays (all `u32`: 8 bytes
+    /// per pair plus the event offset table). Input to the
     /// [`crate::MemBudget`] accounting of a budgeted build.
     pub fn bytes(&self) -> usize {
-        (self.event_offsets.len()
-            + self.event_members.len()
-            + self.partner_offsets.len()
-            + self.partner_members.len()
-            + self.by_interaction.len())
-            * 4
+        (self.event_offsets.len() + self.event_members.len() + self.by_interaction.len()) * 4
     }
 
     /// Build the offline structures (`O(n log n)` in the number of pairs).
     ///
-    /// The two independent passes — scattering pairs into the group tables
+    /// The two independent passes — scattering pairs into the event groups
     /// and sorting the interaction list — run concurrently; the result is
     /// bit-identical at any thread count.
     pub fn build(space: &TransformedSpace) -> Self {
-        let (groups, by_interaction) = rayon::join(
-            || {
-                (
-                    csr_from_gids(&space.event_gid, space.num_events()),
-                    csr_from_gids(&space.partner_gid, space.num_partners()),
-                )
-            },
-            || interaction_order(&space.interaction),
+        let ((event_offsets, event_members), by_interaction) = rayon::join(
+            || event_csr(&space.pairs, space.num_events()),
+            || interaction_order(&space.pairs),
         );
-        let ((event_offsets, event_members), (partner_offsets, partner_members)) = groups;
-        Self { event_offsets, event_members, partner_offsets, partner_members, by_interaction }
+        Self { event_offsets, event_members, by_interaction }
     }
 
     /// Number of distinct candidate events.
@@ -314,9 +302,9 @@ impl TaIndex {
         self.event_offsets.len() - 1
     }
 
-    /// Number of distinct candidate partners.
-    pub fn num_partners(&self) -> usize {
-        self.partner_offsets.len() - 1
+    /// The event groups' members.
+    fn event_groups(&self) -> Members<'_> {
+        Members::Csr { offsets: &self.event_offsets, members: &self.event_members }
     }
 
     /// Exact top-`n` pairs for query `q = (u, u, 1)`, skipping pairs
@@ -402,26 +390,17 @@ impl TaIndex {
         heapify_groups(&mut scratch.a_groups, &scratch.a_keys);
         heapify_groups(&mut scratch.b_groups, &scratch.b_keys);
 
+        let (a_groups, b_groups) = (&mut scratch.a_groups, &mut scratch.b_groups);
         let mut a_cursor =
-            GroupCursor::new(&mut scratch.a_groups, &self.event_offsets, &self.event_members);
+            GroupCursor { groups: a_groups, members: self.event_groups(), within_pos: 0 };
         let mut b_cursor =
-            GroupCursor::new(&mut scratch.b_groups, &self.partner_offsets, &self.partner_members);
+            GroupCursor { groups: b_groups, members: Members::Stride(space.take), within_pos: 0 };
         let mut c_pos = 0usize;
 
-        // Epoch-stamped visited set: bumping the epoch invalidates all
-        // stamps from previous queries in O(1).
-        if scratch.seen.len() != space.len() {
-            scratch.seen.clear();
-            scratch.seen.resize(space.len(), 0);
-            scratch.epoch = 0;
-        }
-        scratch.epoch = scratch.epoch.wrapping_add(1);
-        if scratch.epoch == 0 {
-            scratch.seen.fill(0);
-            scratch.epoch = 1;
-        }
-        let epoch = scratch.epoch;
-        let seen = &mut scratch.seen;
+        // The bitset is all zero between queries, so a resize for a space
+        // of another size only has to fit it.
+        scratch.seen.resize(space.len().div_ceil(64), 0);
+        let (seen, dirty) = (&mut scratch.seen, &mut scratch.dirty);
 
         let heap = &mut scratch.heap;
         heap.clear();
@@ -429,7 +408,7 @@ impl TaIndex {
         // C term of the next unpopped C-list entry: bounds every unseen pair's.
         let c_bound = |c_pos: usize| {
             let next = self.by_interaction.get(c_pos);
-            next.map_or(f32::NEG_INFINITY, |&i| space.interaction[i as usize] * qw)
+            next.map_or(f32::NEG_INFINITY, |&i| space.pairs[i as usize].0 * qw)
         };
 
         let mut round = 0u32;
@@ -455,21 +434,19 @@ impl TaIndex {
                 let idx = match source {
                     0 => a_cursor.pop(),
                     1 => b_cursor.pop(),
-                    _ => {
-                        let v = self.by_interaction.get(c_pos).copied();
-                        if v.is_some() {
-                            c_pos += 1;
-                        }
-                        v
-                    }
+                    _ => self.by_interaction.get(c_pos).inspect(|_| c_pos += 1).copied(),
                 };
                 let Some(idx) = idx else { continue };
                 progressed = true;
                 stats.sorted_accesses += 1;
-                if seen[idx as usize] == epoch {
+                let (word, bit) = (idx as usize / 64, 1u64 << (idx % 64));
+                if seen[word] & bit != 0 {
                     continue;
                 }
-                seen[idx as usize] = epoch;
+                if seen[word] == 0 {
+                    dirty.push(word as u32);
+                }
+                seen[word] |= bit;
                 let (partner, event) = space.pair(idx as usize);
                 if !filter(partner, event) {
                     continue;
@@ -478,11 +455,9 @@ impl TaIndex {
                 let score = space.score(idx as usize, &scratch.a_keys, &scratch.b_keys, qw);
                 if heap.len() < n {
                     heap.push(HeapEntry { score, idx });
-                } else if let Some(worst) = heap.peek() {
-                    if score > worst.score {
-                        heap.pop();
-                        heap.push(HeapEntry { score, idx });
-                    }
+                } else if heap.peek().is_some_and(|worst| score > worst.score) {
+                    heap.pop();
+                    heap.push(HeapEntry { score, idx });
                 }
             }
             if !progressed {
@@ -496,6 +471,9 @@ impl TaIndex {
                     break;
                 }
             }
+        }
+        for word in dirty.drain(..) {
+            seen[word as usize] = 0;
         }
 
         let mut results: Vec<(f32, UserId, EventId)> = heap
@@ -533,8 +511,7 @@ mod full_sort {
     struct SortedCursor<'a> {
         order: &'a [u32],
         keys: &'a [f32],
-        offsets: &'a [u32],
-        members: &'a [u32],
+        members: Members<'a>,
         group_pos: usize,
         within_pos: usize,
     }
@@ -546,11 +523,9 @@ mod full_sort {
 
         fn pop(&mut self) -> Option<u32> {
             while let Some(&g) = self.order.get(self.group_pos) {
-                let start = self.offsets[g as usize] as usize;
-                let end = self.offsets[g as usize + 1] as usize;
-                if start + self.within_pos < end {
+                if let Some(idx) = self.members.get(g as usize, self.within_pos) {
                     self.within_pos += 1;
-                    return Some(self.members[start + self.within_pos - 1]);
+                    return Some(idx);
                 }
                 self.group_pos += 1;
                 self.within_pos = 0;
@@ -574,12 +549,13 @@ mod full_sort {
         // Every member of a group carries the group's vector, so any of
         // them yields the group's key.
         let mut a_keys = vec![0.0f32; index.num_events()];
-        let mut b_keys = vec![0.0f32; index.num_partners()];
-        let (event_gid, partner_gid) = (&space.event_gid, &space.partner_gid);
+        let mut b_keys = vec![0.0f32; space.num_partners()];
+        let (event_gid, partner_gid) =
+            (|i: u32| space.pairs[i as usize].1, |i: u32| i as usize / space.take);
         for i in 0..space.len() {
             let point = space.point(i);
-            a_keys[event_gid[i] as usize] = dot(&q[0..k], &point[0..k]);
-            b_keys[partner_gid[i] as usize] = dot(&q[0..k], &point[k..2 * k]);
+            a_keys[event_gid(i as u32) as usize] = dot(&q[0..k], &point[0..k]);
+            b_keys[partner_gid(i as u32)] = dot(&q[0..k], &point[k..2 * k]);
         }
         let (mut a_order, mut b_order) = (Vec::new(), Vec::new());
         fill_order(&mut a_order, &a_keys);
@@ -587,21 +563,19 @@ mod full_sort {
         let mut a_cursor = SortedCursor {
             order: &a_order,
             keys: &a_keys,
-            offsets: &index.event_offsets,
-            members: &index.event_members,
+            members: index.event_groups(),
             group_pos: 0,
             within_pos: 0,
         };
         let mut b_cursor = SortedCursor {
             order: &b_order,
             keys: &b_keys,
-            offsets: &index.partner_offsets,
-            members: &index.partner_members,
+            members: Members::Stride(space.take),
             group_pos: 0,
             within_pos: 0,
         };
         let mut c_pos = 0usize;
-        let c_value = |idx: u32| space.interaction[idx as usize] * q[2 * k];
+        let c_value = |idx: u32| space.pairs[idx as usize].0 * q[2 * k];
         let mut seen = vec![false; space.len()];
         let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
         loop {
@@ -626,9 +600,8 @@ mod full_sort {
                     continue;
                 }
                 stats.scored += 1;
-                let score = a_keys[event_gid[idx as usize] as usize]
-                    + b_keys[partner_gid[idx as usize] as usize]
-                    + c_value(idx);
+                let score =
+                    a_keys[event_gid(idx) as usize] + b_keys[partner_gid(idx)] + c_value(idx);
                 if heap.len() < n {
                     heap.push(HeapEntry { score, idx });
                 } else if heap.peek().is_some_and(|worst| score > worst.score) {
@@ -664,14 +637,18 @@ mod full_sort {
 mod tests {
     use super::*;
     use crate::brute::{BruteForce, BruteScratch};
+    use crate::prune::top_k_events_per_partner;
     use crate::transform::toy_model;
     use gem_core::GemModel;
     use rand::RngExt;
 
+    /// The space of every pair of `users` partners and `events` events: the
+    /// prune output at `k` = all events.
     pub(super) fn cross_space(model: &GemModel, users: u32, events: u32) -> TransformedSpace {
-        let candidates: Vec<(UserId, EventId)> =
-            (0..users).flat_map(|p| (0..events).map(move |x| (UserId(p), EventId(x)))).collect();
-        TransformedSpace::build(model, &candidates)
+        let partners: Vec<UserId> = (0..users).map(UserId).collect();
+        let event_ids: Vec<EventId> = (0..events).map(EventId).collect();
+        let all = top_k_events_per_partner(model, &partners, &event_ids, events as usize);
+        TransformedSpace::build(model, &all)
     }
 
     /// Exact top-n with fresh scratch.
@@ -742,7 +719,7 @@ mod tests {
     }
 
     /// A single scratch reused across many queries must give results
-    /// identical to fresh allocation each time (epoch/buffer hygiene).
+    /// identical to fresh allocation each time (bitset/buffer hygiene).
     #[test]
     fn scratch_reuse_matches_fresh_scratch() {
         let mut rng = gem_sampling::rng_from_seed(77);
@@ -828,7 +805,7 @@ mod tests {
         let q = TransformedSpace::query_vector(&model, UserId(0));
         assert!(top_n(&index, &space, &q, 0, |_, _| true).0.is_empty());
 
-        let empty = TransformedSpace::build(&model, &[]);
+        let empty = cross_space(&model, 3, 0);
         let index = TaIndex::build(&empty);
         assert!(top_n(&index, &empty, &q, 5, |_, _| true).0.is_empty());
     }
@@ -946,7 +923,7 @@ mod tests {
     #[test]
     fn deadline_with_empty_space_is_exact_and_empty() {
         let model = toy_model();
-        let empty = TransformedSpace::build(&model, &[]);
+        let empty = cross_space(&model, 3, 0);
         let index = TaIndex::build(&empty);
         let q = TransformedSpace::query_vector(&model, UserId(0));
         let deadline = std::time::Instant::now() - std::time::Duration::from_millis(1);
@@ -962,27 +939,30 @@ mod tests {
         let space = cross_space(&model, 3, 2);
         let index = TaIndex::build(&space);
         assert_eq!(index.num_events(), 2);
-        assert_eq!(index.num_partners(), 3);
+        assert_eq!((space.num_partners(), space.take), (3, 2));
         // CSR invariants: offsets are monotone, cover all pairs, and the
-        // flat member arrays are a permutation of the pair indices.
-        for offsets in [&index.event_offsets, &index.partner_offsets] {
-            assert_eq!(offsets[0], 0);
-            assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(*offsets.last().unwrap() as usize, space.len());
-        }
-        for members in [&index.event_members, &index.partner_members] {
-            let mut sorted: Vec<u32> = members.to_vec();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..space.len() as u32).collect::<Vec<_>>());
-        }
-        // Group membership agrees with the per-pair group ids.
+        // flat member array is a permutation of the pair indices.
+        let offsets = &index.event_offsets;
+        assert_eq!(offsets[0], 0);
+        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(*offsets.last().unwrap() as usize, space.len());
+        let mut sorted: Vec<u32> = index.event_members.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..space.len() as u32).collect::<Vec<_>>());
+        // Group membership agrees with the per-pair event rows, and the
+        // partner groups are the stride's runs of consecutive pairs.
         for g in 0..index.num_events() {
             let span = &index.event_members
                 [index.event_offsets[g] as usize..index.event_offsets[g + 1] as usize];
-            assert!(span.iter().all(|&i| space.event_gid[i as usize] as usize == g));
+            assert!(span.iter().all(|&i| space.pairs[i as usize].1 as usize == g));
         }
-        // The point rebuilt from rows `event_gid` / `partner_gid` of the
-        // space's matrices carries the pair's own model vectors.
+        for (g, (partner, _)) in space.partner_rows().enumerate() {
+            for i in g * space.take..(g + 1) * space.take {
+                assert_eq!(space.pair(i).0, partner);
+            }
+        }
+        // The point rebuilt from the pair's event row and partner row of
+        // the space's matrices carries the pair's own model vectors.
         let k = space.k();
         assert_eq!((space.num_events(), space.num_partners()), (2, 3));
         for i in 0..space.len() {
@@ -1046,6 +1026,9 @@ mod tests {
                 let reused = index.top_n_with(space, &q, 6, |p, _| p != UserId(u), &mut scratch);
                 let fresh = top_n(index, space, &q, 6, |p, _| p != UserId(u));
                 assert_eq!(reused, fresh, "u={u} pairs={}", space.len());
+                // The visited bitset fits the space and is left all zero.
+                assert_eq!(scratch.seen.len(), space.len().div_ceil(64));
+                assert!(scratch.seen.iter().all(|&w| w == 0) && scratch.dirty.is_empty());
             }
         }
     }
@@ -1072,9 +1055,7 @@ mod proptests {
         let users: Vec<f32> = (0..nu as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
         let events: Vec<f32> = (0..nx as usize * dim).map(|_| rng.random::<f32>() - 0.3).collect();
         let model = GemModel::from_raw(dim, users, events, vec![], vec![], vec![]);
-        let candidates: Vec<(UserId, EventId)> =
-            (0..nu).flat_map(|p| (0..nx).map(move |x| (UserId(p), EventId(x)))).collect();
-        let space = TransformedSpace::build(&model, &candidates);
+        let space = cross_space(&model, nu, nx);
         let index = TaIndex::build(&space);
         let brute = BruteForce::new(&space);
         let mut scratch = TaScratch::new();

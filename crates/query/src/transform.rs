@@ -11,77 +11,75 @@
 //! The first `2K` coordinates of a point are copies of two embedding rows
 //! that thousands of pairs share, so the points are never materialised:
 //! the space keeps one `K`-float row per *distinct* candidate event and
-//! partner, and per pair only its identity, the two row ids and the one
-//! coordinate that is its own, `C = u'ᵀx`. A score is
-//! `A[event row] + B[partner row] + C` after two [`dot_batch`] sweeps over
-//! the row matrices (`TransformedSpace::score`) — the three products of
-//! `q · p`, summed in one fixed order for every retrieval method.
+//! partner, and per pair only the one coordinate that is its own,
+//! `C = u'ᵀx`, and its event's row id — 8 bytes. The space *is* the prune
+//! output ([`Candidates`]) taken over in place: its scores are the `C`s,
+//! each event id becomes its row id, and the fixed stride makes pair `i`'s
+//! partner row `i / take`, so no pair identity or partner id is stored. A
+//! score is `A[event row] + B[partner row] + C` after two [`dot_batch`]
+//! sweeps over the row matrices (`TransformedSpace::score`) — the three
+//! products of `q · p`, summed in one fixed order for every retrieval
+//! method.
 //!
 //! The transformation is computed offline once per model snapshot.
 
-use gem_core::math::{dot, dot_batch};
+use crate::prune::Candidates;
+use gem_core::math::dot_batch;
 use gem_core::GemModel;
 use gem_ebsn::{EventId, UserId};
-use rayon::prelude::*;
 
-/// The transformed candidate space: per pair its identity, interaction
-/// value and row ids; per distinct event / partner one embedding row.
+/// The transformed candidate space: per pair its `C` and event row, in the
+/// pruning pass's partner-major order; per distinct event / partner one
+/// embedding row.
 #[derive(Debug, Clone)]
 pub struct TransformedSpace {
     k: usize,
-    /// `(partner, event)` identity of each point.
-    pairs: Vec<(UserId, EventId)>,
-    /// `C = u'ᵀx` of each pair: the last coordinate of its point.
-    pub(crate) interaction: Vec<f32>,
-    /// Row of each pair's event in `event_vecs`.
-    pub(crate) event_gid: Vec<u32>,
-    /// Row of each pair's partner in `partner_vecs`.
-    pub(crate) partner_gid: Vec<u32>,
-    /// Vectors of the distinct candidate events in first-seen candidate
-    /// order, row-major `rows × K`.
+    /// Pairs per partner row: pair `i` is partner row `i / take`'s.
+    pub(crate) take: usize,
+    /// `(C = u'ᵀx, event row)` of each pair.
+    pub(crate) pairs: Vec<(f32, u32)>,
+    /// The partner of each partner row (empty when there are no pairs).
+    partners: Vec<UserId>,
+    /// The event of each event row, in first-seen pair order.
+    pub(crate) event_ids: Vec<EventId>,
+    /// Vectors of the event rows, row-major `rows × K`.
     event_vecs: Vec<f32>,
-    /// Vectors of the distinct candidate partners, same layout.
+    /// Vectors of the partner rows, same layout.
     partner_vecs: Vec<f32>,
 }
 
-/// The row behind `slot`, appending `vec` to `vecs` as the next row if the
-/// slot is still unassigned (`u32::MAX`).
-fn row_of(slot: &mut u32, vecs: &mut Vec<f32>, vec: &[f32]) -> u32 {
-    if *slot == u32::MAX {
-        *slot = (vecs.len() / vec.len()) as u32;
-        vecs.extend_from_slice(vec);
-    }
-    *slot
-}
-
 impl TransformedSpace {
-    /// Build the space for the given candidate pairs.
-    ///
-    /// Interaction values are independent per pair and computed in
-    /// parallel. Row ids are assigned in one sequential scan, in first-seen
-    /// candidate order (TA breaks key ties by row id, so its work counters
-    /// depend on that order), through id → row tables sized from the model.
-    /// The output is bit-identical at any thread count.
-    pub fn build(model: &GemModel, candidates: &[(UserId, EventId)]) -> Self {
-        let interaction: Vec<f32> = candidates
-            .par_iter()
-            .with_min_len(4096)
-            .map(|&(partner, event)| dot(model.user_vec(partner), model.event_vec(event)))
-            .collect();
-        let mut event_slot = vec![u32::MAX; model.num_events()];
-        let mut partner_slot = vec![u32::MAX; model.num_users()];
-        let (mut event_vecs, mut partner_vecs) = (Vec::new(), Vec::new());
-        let (event_gid, partner_gid) = candidates
-            .iter()
-            .map(|&(p, x)| {
-                (
-                    row_of(&mut event_slot[x.index()], &mut event_vecs, model.event_vec(x)),
-                    row_of(&mut partner_slot[p.index()], &mut partner_vecs, model.user_vec(p)),
-                )
+    /// Build the space for a pruned candidate set (a copy of it; the engine
+    /// builds hand theirs over).
+    pub fn build(model: &GemModel, candidates: &Candidates) -> Self {
+        Self::from_candidates(model, candidates.clone())
+    }
+
+    /// Take `candidates` over: each event id is replaced in place by its
+    /// row id, assigned in one sequential scan in first-seen pair order
+    /// (TA breaks key ties by row id, so its work counters depend on that
+    /// order) through an id → row table sized from the model.
+    pub(crate) fn from_candidates(model: &GemModel, candidates: Candidates) -> Self {
+        let (mut partners, take, top) = candidates.into_parts();
+        if take == 0 {
+            partners.clear();
+        }
+        let mut row_of = vec![u32::MAX; model.num_events()];
+        let (mut event_ids, mut event_vecs) = (Vec::new(), Vec::new());
+        let pairs = top
+            .into_iter()
+            .map(|(c, x)| {
+                let row = &mut row_of[x.index()];
+                if *row == u32::MAX {
+                    *row = event_ids.len() as u32;
+                    event_ids.push(x);
+                    event_vecs.extend_from_slice(model.event_vec(x));
+                }
+                (c, *row)
             })
-            .unzip();
-        let pairs = candidates.to_vec();
-        Self { k: model.dim, pairs, interaction, event_gid, partner_gid, event_vecs, partner_vecs }
+            .collect();
+        let partner_vecs = partners.iter().flat_map(|&p| model.user_vec(p)).copied().collect();
+        Self { k: model.dim, take, pairs, partners, event_ids, event_vecs, partner_vecs }
     }
 
     /// The query point `q_u = (u, u, 1)` for a target user.
@@ -125,17 +123,28 @@ impl TransformedSpace {
     /// The `(partner, event)` identity of candidate `i`.
     #[inline]
     pub fn pair(&self, i: usize) -> (UserId, EventId) {
-        self.pairs[i]
+        (self.partners[i / self.take], self.event_ids[self.pairs[i].1 as usize])
+    }
+
+    /// Partner rows in order: each row's partner and its `take` pairs.
+    pub(crate) fn partner_rows(&self) -> impl Iterator<Item = (UserId, &[(f32, u32)])> {
+        self.partners.iter().copied().zip(self.pairs.chunks_exact(self.take.max(1)))
+    }
+
+    /// Whether partner row `g` holds event `x`: a scan of its `take` pairs.
+    pub(crate) fn serves(&self, g: usize, x: EventId) -> bool {
+        let row = &self.pairs[g * self.take..(g + 1) * self.take];
+        row.iter().any(|&(_, r)| self.event_ids[r as usize] == x)
     }
 
     /// Number of distinct candidate events (rows of the event matrix).
     pub(crate) fn num_events(&self) -> usize {
-        self.event_vecs.len() / self.k
+        self.event_ids.len()
     }
 
     /// Number of distinct candidate partners.
     pub(crate) fn num_partners(&self) -> usize {
-        self.partner_vecs.len() / self.k
+        self.partners.len()
     }
 
     /// The per-query composite keys, `a_keys[g] = u · x_g` over the event
@@ -153,19 +162,21 @@ impl TransformedSpace {
 
     /// Score of candidate `i` given the keys of [`Self::fill_keys`] and the
     /// query's last coordinate `qw`: the one scoring expression, shared by
-    /// TA's random access, the exhaustive scan and (over the model's rows)
-    /// the delta overlay, so their scores compare bit for bit.
+    /// TA's random access, the exhaustive scan (which hoists the partner
+    /// row's `B`) and (over the model's rows) the delta overlay, so their
+    /// scores compare bit for bit.
     #[inline]
     pub(crate) fn score(&self, i: usize, a_keys: &[f32], b_keys: &[f32], qw: f32) -> f32 {
-        a_keys[self.event_gid[i] as usize]
-            + b_keys[self.partner_gid[i] as usize]
-            + self.interaction[i] * qw
+        let (c, row) = self.pairs[i];
+        a_keys[row as usize] + b_keys[i / self.take] + c * qw
     }
 
     /// Approximate memory footprint in bytes (paper's storage-cost note):
-    /// 20 per pair plus one `K`-float row per distinct event and partner.
+    /// 8 per pair plus, per distinct event and partner, its `K`-float row
+    /// and its id.
     pub fn bytes(&self) -> usize {
-        self.pairs.len() * 20 + (self.event_vecs.len() + self.partner_vecs.len()) * 4
+        let rows = self.event_ids.len() + self.partners.len();
+        self.pairs.len() * 8 + (self.event_vecs.len() + self.partner_vecs.len() + rows) * 4
     }
 }
 
@@ -175,10 +186,10 @@ impl TransformedSpace {
     /// `q · point(i)` is the oracle the factored score is tested against.
     pub(crate) fn point(&self, i: usize) -> Vec<f32> {
         let k = self.k;
-        let (eg, pg) = (self.event_gid[i] as usize, self.partner_gid[i] as usize);
-        let mut p = self.event_vecs[eg * k..(eg + 1) * k].to_vec();
+        let ((c, eg), pg) = (self.pairs[i], i / self.take);
+        let mut p = self.event_vecs[eg as usize * k..(eg as usize + 1) * k].to_vec();
         p.extend_from_slice(&self.partner_vecs[pg * k..(pg + 1) * k]);
-        p.push(self.interaction[i]);
+        p.push(c);
         p
     }
 }
@@ -189,6 +200,8 @@ pub(crate) use tests::toy_model;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::top_k_events_per_partner;
+    use gem_core::math::dot;
     use gem_core::EventScorer;
 
     pub(crate) fn toy_model() -> GemModel {
@@ -206,10 +219,13 @@ mod tests {
     #[test]
     fn transformed_dot_equals_triple_score() {
         let model = toy_model();
-        let candidates: Vec<(UserId, EventId)> =
-            (0..3).flat_map(|p| (0..2).map(move |x| (UserId(p), EventId(x)))).collect();
-        let space = TransformedSpace::build(&model, &candidates);
-        assert_eq!(space.dim(), 5);
+        let partners: Vec<UserId> = (0..3).map(UserId).collect();
+        let events: Vec<EventId> = (0..2).map(EventId).collect();
+        let space = TransformedSpace::build(
+            &model,
+            &top_k_events_per_partner(&model, &partners, &events, 2),
+        );
+        assert_eq!((space.dim(), space.len()), (5, 6));
         for u in 0..3u32 {
             let q = TransformedSpace::query_vector(&model, UserId(u));
             for i in 0..space.len() {
@@ -224,33 +240,45 @@ mod tests {
     #[test]
     fn point_layout_is_event_partner_interaction() {
         let model = toy_model();
-        let space = TransformedSpace::build(&model, &[(UserId(1), EventId(0))]);
+        let one = top_k_events_per_partner(&model, &[UserId(1)], &[EventId(0)], 1);
+        let space = TransformedSpace::build(&model, &one);
         let p = space.point(0);
         assert_eq!(&p[0..2], model.event_vec(EventId(0)));
         assert_eq!(&p[2..4], model.user_vec(UserId(1)));
         let expected = dot(model.user_vec(UserId(1)), model.event_vec(EventId(0)));
-        assert_eq!(p[4], expected);
+        assert_eq!(p[4].to_bits(), expected.to_bits());
     }
 
     #[test]
     fn empty_candidates_build_empty_space() {
         let model = toy_model();
-        let space = TransformedSpace::build(&model, &[]);
-        assert!(space.is_empty());
-        assert_eq!(space.len(), 0);
+        for (events, k) in [(&[][..], 3), (&[EventId(0)][..], 0)] {
+            let none = top_k_events_per_partner(&model, &[UserId(0)], events, k);
+            let space = TransformedSpace::build(&model, &none);
+            assert!(space.is_empty());
+            assert_eq!((space.len(), space.num_events(), space.num_partners()), (0, 0, 0));
+            assert_eq!(space.bytes(), 0);
+        }
     }
 
     /// `TaStats` stability rests on this: TA breaks key ties by ascending
-    /// row id, so rows must be numbered in first-seen candidate order.
+    /// row id, so rows must be numbered in first-seen pair order — partner
+    /// rows in pool order, event rows as the partner-major scan meets them.
     #[test]
     fn row_ids_are_first_seen_order() {
         let model = toy_model();
-        let pair = |p, x| (UserId(p), EventId(x));
-        let candidates = [pair(2, 1), pair(0, 1), pair(2, 0), pair(1, 1), pair(0, 0)];
-        let space = TransformedSpace::build(&model, &candidates);
-        assert_eq!(space.event_gid, [0, 0, 1, 0, 1]);
-        assert_eq!(space.partner_gid, [0, 1, 0, 2, 1]);
-        assert_eq!((space.num_events(), space.num_partners()), (2, 3));
+        let partners = [UserId(2), UserId(0), UserId(1)];
+        let events = [EventId(0), EventId(1)];
+        let space = TransformedSpace::build(
+            &model,
+            &top_k_events_per_partner(&model, &partners, &events, 2),
+        );
+        // u2 and u0 rank x1 first, u1 ranks x0 first.
+        let rows: Vec<u32> = space.pairs.iter().map(|&(_, r)| r).collect();
+        assert_eq!(rows, [0, 1, 0, 1, 1, 0]);
+        assert_eq!(space.event_ids, [EventId(1), EventId(0)]);
+        assert_eq!((space.num_events(), space.num_partners(), space.take), (2, 3, 2));
+        assert_eq!(space.pair(3), (UserId(0), EventId(0)));
         // Row g holds the vector of the g-th distinct id.
         let rows = |ids: [u32; 2]| ids.map(|x| model.event_vec(EventId(x))).concat();
         assert_eq!(space.event_vecs, rows([1, 0]));
@@ -261,13 +289,13 @@ mod tests {
     #[test]
     fn bytes_reflects_point_storage() {
         let model = toy_model(); // dim 2
-        let one = TransformedSpace::build(&model, &[(UserId(0), EventId(0))]);
-        // 20 bytes for the pair, one 2-float row per axis.
-        assert_eq!(one.bytes(), 20 + 2 * 2 * 4);
-        // A second pair of the same partner adds 20 bytes and one event row.
-        let two =
-            TransformedSpace::build(&model, &[(UserId(0), EventId(0)), (UserId(0), EventId(1))]);
-        assert_eq!(two.bytes(), 2 * 20 + 3 * 2 * 4);
+        let prune = |events: &[EventId]| top_k_events_per_partner(&model, &[UserId(0)], events, 2);
+        let one = TransformedSpace::build(&model, &prune(&[EventId(0)]));
+        // 8 bytes for the pair; a 2-float row and an id per axis.
+        assert_eq!(one.bytes(), 8 + 2 * (2 * 4 + 4));
+        // A second pair of the same partner adds 8 bytes and one event row.
+        let two = TransformedSpace::build(&model, &prune(&[EventId(0), EventId(1)]));
+        assert_eq!(two.bytes(), 2 * 8 + 3 * (2 * 4 + 4));
     }
 }
 
@@ -276,6 +304,7 @@ mod proptests {
     use super::*;
     use crate::brute::{BruteForce, BruteScratch};
     use crate::prune::top_k_events_per_partner;
+    use gem_core::math::dot;
     use proptest::prelude::*;
     use rand::RngExt;
 
