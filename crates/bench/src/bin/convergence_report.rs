@@ -31,10 +31,21 @@
 //!    (`--lambda`, default `800/scale` clamped to `[5, 200]`): hardness
 //!    under the rank-geometric distribution is relative to candidate-set
 //!    size, and the paper's λ=200 was tuned against sets ~scale× larger.
-//! 3. **Tracing overhead** — a GEM-A twin runs the same step budget bare
-//!    and fully instrumented (metrics + tracer + streaming trace sink);
-//!    best-of-trials steps/sec must agree within 2% (re-measured a
-//!    bounded number of times first, CI machines are noisy).
+//! 3. **Hot-path gates** — four comparisons, each best-of-trials and,
+//!    where the reading can miss its floor by noise, re-measured a bounded
+//!    number of times before it is believed (CI machines are noisy):
+//!    - *tracing*: a GEM-A twin runs the same step budget bare and fully
+//!      instrumented (metrics + tracer + streaming trace sink); steps/sec
+//!      must agree within 2%;
+//!    - *serving metrics*: single-thread GEM-TA qps of an engine over the
+//!      GEM-A model with a live metrics registry must stay within 2% of a
+//!      no-op-registry twin;
+//!    - *SIMD*: when a SIMD backend is dispatched, single-thread GEM-P
+//!      steps/sec must be no lower than the same trainer on the portable
+//!      widened kernels ([`gem_core::simd::force_scalar`]);
+//!    - *threads*: on a multi-core host, the best of 2- and 4-thread
+//!      Hogwild steps/sec must reach 0.8× single-thread (not a
+//!      regression, not a scaling claim).
 //! 4. **Three-layer trace** — the tracer that watched both training runs
 //!    also watches a traced [`RecommendationEngine::build_within_budget`]
 //!    over the GEM-A model and a burst of served queries, then everything
@@ -51,20 +62,27 @@
 //!    on its own tag-balance check and a nonzero chart count.
 //!
 //! With `--smoke` the same pipeline runs at CI scale and *asserts* the
-//! convergence ordering, the overhead budget and the trace validity.
+//! convergence ordering, every stage-3 gate and the trace validity; the
+//! full mode measures and prints the same gates without asserting them.
 //!
 //! Writes machine-readable results to `BENCH_convergence.json` in the
 //! working directory (schema documented in EXPERIMENTS.md).
 
-use gem_bench::{Args, City, ExperimentEnv, Variant};
-use gem_core::{GemTrainer, TrainJournal, TrainerMetrics};
+use gem_bench::{remeasured, Args, City, ExperimentEnv, Variant};
+use gem_core::{GemModel, GemTrainer, TrainJournal, TrainerMetrics};
 use gem_ebsn::{TrainingGraphs, UserId};
 use gem_eval::{eval_event_rec, EvalConfig};
 use gem_obs::{JsonValue, MetricsRegistry, TraceSink, TraceStreamWriter, Tracer};
 use gem_query::{
     EngineMetrics, MemBudget, Method, RecommendationEngine, ServeScratch, ServeTracing,
 };
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// Users cycled through by the serving metrics gate, the length of one
+/// timed pass over them, and the passes it keeps the best of.
+const SERVE_QUERIES: usize = 256;
+const SERVE_WINDOW: Duration = Duration::from_millis(150);
+const SERVE_TRIALS: usize = 5;
 
 /// One variant's journaled run, reduced to the numbers the report needs.
 struct VariantCurve {
@@ -176,6 +194,7 @@ fn steps_per_sec(
     variant: Variant,
     seed: u64,
     steps: u64,
+    threads: usize,
     trials: usize,
     instrumented: bool,
 ) -> f64 {
@@ -191,11 +210,11 @@ fn steps_per_sec(
         let writer = TraceStreamWriter::create(&path, 1 << 20).expect("create overhead trace");
         stream = Some((tracer, writer, path));
     }
-    trainer.run(steps / 4, 1);
+    trainer.run(steps / 4, threads);
     let mut best = 0.0f64;
     for _ in 0..trials.max(1) {
         let start = Instant::now();
-        trainer.run(steps, 1);
+        trainer.run(steps, threads);
         best = best.max(steps as f64 / start.elapsed().as_secs_f64());
         if let Some((tracer, writer, _)) = &mut stream {
             writer.drain(tracer).expect("drain overhead trace");
@@ -208,21 +227,116 @@ fn steps_per_sec(
     best
 }
 
-/// Measure tracing+metrics overhead on the GEM-A hot path, re-measuring a
-/// bounded number of times before believing an over-budget reading.
+/// Measure tracing+metrics overhead on the GEM-A hot path, in percent.
 fn tracing_overhead_pct(graphs: &TrainingGraphs, seed: u64, steps: u64, trials: usize) -> f64 {
-    let mut bare = steps_per_sec(graphs, Variant::GemA, seed, steps, trials, false);
-    let mut inst = steps_per_sec(graphs, Variant::GemA, seed, steps, trials, true);
-    for _ in 0..2 {
-        if inst >= 0.98 * bare {
-            break;
-        }
-        bare = steps_per_sec(graphs, Variant::GemA, seed, steps, trials, false);
-        inst = steps_per_sec(graphs, Variant::GemA, seed, steps, trials, true);
-    }
+    let (bare, inst) = remeasured(0.98, || {
+        (
+            steps_per_sec(graphs, Variant::GemA, seed, steps, 1, trials, false),
+            steps_per_sec(graphs, Variant::GemA, seed, steps, 1, trials, true),
+        )
+    });
     let overhead = (1.0 - inst / bare) * 100.0;
     println!(
-        "  instrumentation: bare {bare:.0} steps/sec, instrumented {inst:.0} steps/sec \
+        "  tracing: bare {bare:.0} steps/sec, instrumented {inst:.0} steps/sec \
+         ({overhead:+.2}%)"
+    );
+    overhead
+}
+
+/// Single-thread GEM-P `(simd, widened)` steps/sec: the default dispatch
+/// against the same trainer with every kernel forced onto the portable
+/// widened loops. `None` when no SIMD backend is dispatched (the two would
+/// be the same code). The override is process-global, so nothing else may
+/// run meanwhile.
+fn simd_vs_widened(graphs: &TrainingGraphs, seed: u64, steps: u64) -> Option<(f64, f64)> {
+    if !gem_core::simd::enabled() {
+        println!("  simd: scalar backend dispatched, no SIMD path to compare");
+        return None;
+    }
+    let (widened, simd) = remeasured(1.0, || {
+        let simd = steps_per_sec(graphs, Variant::GemP, seed, steps, 1, 2, false);
+        gem_core::simd::force_scalar(true);
+        let widened = steps_per_sec(graphs, Variant::GemP, seed, steps, 1, 2, false);
+        gem_core::simd::force_scalar(false);
+        (widened, simd)
+    });
+    println!(
+        "  simd: {} backend {simd:.0} steps/sec, widened {widened:.0} steps/sec ({:.2}x)",
+        gem_core::simd::backend().name(),
+        simd / widened
+    );
+    Some((simd, widened))
+}
+
+/// GEM-P `(single, best of 2 and 4 threads)` steps/sec, or `None` on a
+/// single-core host, where every thread count timeshares one core and the
+/// comparison would measure the scheduler.
+fn thread_scaling(graphs: &TrainingGraphs, seed: u64, steps: u64) -> Option<(f64, f64)> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores == 1 {
+        println!("  threads: single-core host, multi-thread comparison skipped");
+        return None;
+    }
+    let sps = |threads| steps_per_sec(graphs, Variant::GemP, seed, steps, threads, 2, false);
+    let (single, multi) = (sps(1), sps(2).max(sps(4)));
+    println!(
+        "  threads: 1 thread {single:.0} steps/sec, best of 2/4 threads {multi:.0} steps/sec \
+         ({:.2}x on {cores} cores)",
+        multi / single
+    );
+    Some((single, multi))
+}
+
+/// Best-of-`SERVE_TRIALS` single-thread GEM-TA qps of each engine over
+/// `users` (each warmed with one pass first). The trials alternate between
+/// the engines, so a drift in host speed lands on both.
+fn best_qps(engines: [&RecommendationEngine; 2], users: &[UserId]) -> (f64, f64) {
+    let mut scratch = ServeScratch::new();
+    let mut pass = |engine: &RecommendationEngine| {
+        for &u in users {
+            std::hint::black_box(engine.recommend_with(u, 10, Method::Ta, &mut scratch));
+        }
+    };
+    engines.iter().for_each(|engine| pass(engine));
+    let mut best = [0.0f64; 2];
+    for _ in 0..SERVE_TRIALS {
+        for (engine, best) in engines.iter().zip(&mut best) {
+            let start = Instant::now();
+            let mut served = 0;
+            while start.elapsed() < SERVE_WINDOW {
+                pass(engine);
+                served += users.len();
+            }
+            *best = best.max(served as f64 / start.elapsed().as_secs_f64());
+        }
+    }
+    (best[0], best[1])
+}
+
+/// Serving metrics overhead in percent: GEM-TA qps of an engine with a
+/// live metrics registry against a no-op-registry twin over the same
+/// model (tracing off in both, so only the metrics are measured).
+fn serving_metrics_overhead_pct(env: &ExperimentEnv, model: GemModel, prune_k: usize) -> f64 {
+    let partners: Vec<UserId> = (0..env.dataset.num_users).map(|u| UserId(u as u32)).collect();
+    let events = env.split.test_events.clone();
+    let users: Vec<UserId> =
+        (0..SERVE_QUERIES).map(|i| UserId(((i * 97) % env.dataset.num_users) as u32)).collect();
+    let registry = MetricsRegistry::new();
+    let (instrumented, _) = RecommendationEngine::build_within_budget(
+        model.clone(),
+        &partners,
+        &events,
+        prune_k,
+        MemBudget::fail_at_mib(256),
+        EngineMetrics::register(&registry),
+        ServeTracing::disabled(),
+    )
+    .expect("the 1/scale Beijing engine fits 256 MiB");
+    let noop = RecommendationEngine::build(model, &partners, &events, prune_k);
+    let (noop_qps, inst_qps) = remeasured(0.98, || best_qps([&noop, &instrumented], &users));
+    let overhead = (1.0 - inst_qps / noop_qps) * 100.0;
+    println!(
+        "  serving metrics: no-op registry {noop_qps:.0} qps, instrumented {inst_qps:.0} qps \
          ({overhead:+.2}%)"
     );
     overhead
@@ -393,13 +507,35 @@ fn main() {
         );
     }
 
-    println!("[3/5] tracing overhead on the GEM-A hot path ({overhead_steps} steps)");
+    println!("[3/5] hot-path gates ({overhead_steps} training steps per reading)");
     let overhead_pct = tracing_overhead_pct(&env.graphs, seed, overhead_steps, trials);
+    let serving_pct = serving_metrics_overhead_pct(&env, trainer_a.model(), prune_k);
+    let simd = simd_vs_widened(&env.graphs, seed, overhead_steps);
+    let threads = thread_scaling(&env.graphs, seed, overhead_steps);
     if smoke {
         assert!(
             overhead_pct <= 2.0,
             "tracing + metrics overhead {overhead_pct:.2}% exceeds the 2% budget"
         );
+        assert!(
+            serving_pct <= 2.0,
+            "serving metrics overhead {serving_pct:.2}% exceeds the 2% budget"
+        );
+        if let Some((simd_sps, widened_sps)) = simd {
+            assert!(
+                simd_sps >= widened_sps,
+                "SIMD path ({simd_sps:.0} steps/sec) slower than the widened path \
+                 ({widened_sps:.0} steps/sec) with the {} backend dispatched",
+                gem_core::simd::backend().name()
+            );
+        }
+        if let Some((single, multi)) = threads {
+            assert!(
+                multi >= 0.8 * single,
+                "multi-thread training ({multi:.0} steps/sec) fell below 0.8x \
+                 single-thread ({single:.0} steps/sec)"
+            );
+        }
     }
 
     println!("[4/5] serving layer trace (build + {queries} queries over the GEM-A model)");
@@ -500,7 +636,8 @@ fn main() {
     );
     if smoke {
         println!(
-            "smoke OK: GEM-A <= GEM-P epochs-to-target, overhead within 2%, trace valid \
+            "smoke OK: GEM-A <= GEM-P epochs-to-target, tracing and serving metrics \
+             overhead within 2%, SIMD >= widened, multi-thread >= 0.8x single, trace valid \
              (in-memory + streamed), dashboard rendered, zero journal write errors"
         );
     }

@@ -4,7 +4,8 @@
 //! Usage: `cargo run --release -p gem-bench --bin fault_drill \
 //!         [--scale 160 --steps 60000 --cadence 5000 --threads 2 --seed 7]`
 //!
-//! The drill has four legs, all of them asserted:
+//! The drill has five legs, all of them asserted (the fifth runs only
+//! under `--smoke`):
 //!
 //! 1. **Kill** — a child process (`--drill-child`, same binary) trains with
 //!    a checkpoint generation per cadence chunk and a JSONL journal line
@@ -20,14 +21,22 @@
 //! 4. **Finish** — the resumed trainer runs the remaining steps under the
 //!    same cadence; the final model round-trips through
 //!    [`save_model`]/[`load_model`].
+//! 5. **Checkpoint tax** — with every fail point disarmed, single-thread
+//!    [`GemTrainer::run_checkpointed`] (one generation per run) must keep
+//!    98% of plain [`GemTrainer::run`] steps/sec: best of 3 runs of
+//!    3 M steps each, alternating between the two, so the one checkpoint
+//!    write amortizes the way a production cadence would, re-measured up
+//!    to twice before an over-budget reading is believed.
 //!
-//! `--smoke` runs the same drill at CI scale and skips the JSON report;
-//! the full mode writes `BENCH_fault_drill.json` with the measured resume
-//! overhead (checkpoint restore and save wall-clock). Both modes leave the
-//! killed run's journal at `journal_fault_drill.jsonl` for artifact upload.
+//! `--smoke` runs the same drill at CI scale plus stage 5 and skips the
+//! JSON report; the full mode writes `BENCH_fault_drill.json` with the
+//! measured resume overhead (checkpoint restore and save wall-clock). Both
+//! modes leave the killed run's journal at `journal_fault_drill.jsonl` for
+//! artifact upload.
 
-use gem_bench::{Args, City, ExperimentEnv, Variant};
-use gem_core::{load_model, save_model, Checkpointer, GemTrainer};
+use gem_bench::{remeasured, Args, City, ExperimentEnv, Variant};
+use gem_core::{load_model, save_model, Checkpointer, GemTrainer, TrainConfig};
+use gem_ebsn::TrainingGraphs;
 use gem_obs::{faults, FaultMode, Journal, JournalRecord};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
@@ -35,6 +44,37 @@ use std::process::{Command, Stdio};
 use std::time::Instant;
 
 const JOURNAL_PATH: &str = "journal_fault_drill.jsonl";
+
+/// Steps per checkpoint-tax reading: enough that the one checkpoint write
+/// (a few ms of encode + fsync + rename) amortizes.
+const TAX_STEPS: u64 = 3_000_000;
+
+/// Best-of-3 single-thread `(plain, checkpointed)` steps/sec: one fresh
+/// trainer runs [`GemTrainer::run`], a twin [`GemTrainer::run_checkpointed`]
+/// into `sink` with one generation per run (cadence = steps). Each is
+/// warmed with one chunk, and the trials alternate between the two, so a
+/// drift in host speed lands on both.
+fn plain_vs_checkpointed(
+    graphs: &TrainingGraphs,
+    cfg: &TrainConfig,
+    sink: &Checkpointer,
+) -> (f64, f64) {
+    let new_trainer = || GemTrainer::new(graphs, cfg.clone()).expect("valid trainer config");
+    let (plain, checkpointed) = (new_trainer(), new_trainer());
+    plain.run(TAX_STEPS / 4, 1);
+    checkpointed.run(TAX_STEPS / 4, 1);
+    let rate = |start: Instant| TAX_STEPS as f64 / start.elapsed().as_secs_f64();
+    let (mut best_plain, mut best_checkpointed) = (0.0f64, 0.0f64);
+    for _ in 0..3 {
+        let start = Instant::now();
+        plain.run(TAX_STEPS, 1);
+        best_plain = best_plain.max(rate(start));
+        let start = Instant::now();
+        checkpointed.run_checkpointed(TAX_STEPS, 1, TAX_STEPS, sink).expect("checkpointed run");
+        best_checkpointed = best_checkpointed.max(rate(start));
+    }
+    (best_plain, best_checkpointed)
+}
 
 /// The victim: train `steps` with one checkpoint generation per `cadence`
 /// chunk, announcing every committed generation on stdout (`GEN:<n>`) so
@@ -173,15 +213,15 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("gem-fault-drill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    println!("[1/4] kill: SIGKILL the child after its second checkpoint generation");
+    println!("[1/5] kill: SIGKILL the child after its second checkpoint generation");
     let announced = spawn_and_kill(&dir, scale, steps, cadence, threads, seed);
     let killed_at = *announced.last().expect("at least one generation");
     println!("  child announced generations {announced:?}, killed after gen {killed_at}");
 
-    println!("[2/4] recover: newest valid generation + surviving journal");
+    println!("[2/5] recover: newest valid generation + surviving journal");
     let env = ExperimentEnv::build(City::Beijing, scale, seed);
     let cfg = Variant::GemP.config(seed);
-    let trainer = GemTrainer::new(&env.graphs, cfg).expect("valid trainer config");
+    let trainer = GemTrainer::new(&env.graphs, cfg.clone()).expect("valid trainer config");
     let sink = Checkpointer::new(&dir).expect("reopen checkpoint dir");
 
     let t_restore = Instant::now();
@@ -200,7 +240,7 @@ fn main() {
         loaded.generation, loaded.checkpoint.steps
     );
 
-    println!("[3/4] torn generation: persist.short_write armed for one commit");
+    println!("[3/5] torn generation: persist.short_write armed for one commit");
     faults::arm("persist.short_write", FaultMode::Times(1));
     let torn = sink.save(&trainer.checkpoint()).expect("commit (torn) checkpoint");
     faults::disarm_all();
@@ -213,7 +253,7 @@ fn main() {
     assert_eq!(recovered.generation, loaded.generation, "fell back to the wrong generation");
     println!("  gen {torn} committed torn, recovery skipped it for gen {}", recovered.generation);
 
-    println!("[4/4] finish: resume and train the remaining steps");
+    println!("[4/5] finish: resume and train the remaining steps");
     let remaining = steps - loaded.checkpoint.steps;
     let t_save = Instant::now();
     let final_gen =
@@ -235,6 +275,28 @@ fn main() {
         model.users.len() / model.dim.max(1),
         model.dim
     );
+
+    // Stage 5 is a gate with no other consumer, so only `--smoke` pays
+    // its 3 M-step readings.
+    let tax = smoke.then(|| {
+        println!("[5/5] checkpoint tax: fail points disarmed, {TAX_STEPS} steps per reading");
+        let tax_sink = Checkpointer::new(dir.join("tax")).expect("create tax checkpoint dir");
+        let (plain_sps, ckpt_sps) =
+            remeasured(0.98, || plain_vs_checkpointed(&env.graphs, &cfg, &tax_sink));
+        let tax_pct = (1.0 - ckpt_sps / plain_sps) * 100.0;
+        println!(
+            "  plain {plain_sps:.0} steps/sec, checkpointed {ckpt_sps:.0} steps/sec \
+             ({tax_pct:+.2}% overhead)"
+        );
+        let tax_gen = tax_sink.load_latest().expect("read tax checkpoints back");
+        assert!(tax_gen.is_some(), "checkpointed runs left no loadable generation");
+        assert!(
+            tax_pct <= 2.0,
+            "checkpoint/fail-point overhead {tax_pct:.2}% exceeds the 2% budget \
+             (plain {plain_sps:.0} steps/sec vs checkpointed {ckpt_sps:.0} steps/sec)"
+        );
+        format!(", checkpoint tax {tax_pct:+.2}%")
+    });
 
     if !smoke {
         let json = format!(
@@ -273,8 +335,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
     println!(
         "{} kill -9 mid-epoch recovered from gen {}, torn generation skipped, resumed run \
-         completed, model round-trips, journal intact",
+         completed, model round-trips, journal intact{}",
         if smoke { "smoke OK:" } else { "drill OK:" },
-        loaded.generation
+        loaded.generation,
+        tax.unwrap_or_default()
     );
 }

@@ -9,22 +9,35 @@
 //! 1. **WAL overhead** — two identical nominal open-loop serving legs
 //!    (with a concurrent churn stream), one against a WAL-less daemon and
 //!    one against a WAL-enabled daemon. The completion-ratio difference is
-//!    the steady-state durability tax; the smoke gate holds it under 2%.
-//! 2. **Crash + replay** — a Poisson-bursty churn stream where every
+//!    the steady-state durability tax; the smoke gate holds it under 2%,
+//!    and neither leg may see a single 5xx.
+//! 2. **Overload** — a deliberately small daemon (one admission shard of
+//!    capacity 2, 16 workers, a 1 ms deadline) that synthesizes and
+//!    trains its own larger model (1/60 scale, 2 000 steps, dim 24, about
+//!    1 000 users). A nominal leg on as many connections as the
+//!    capacity must see zero 5xx (an admission off-by-one would show as
+//!    503s); then an overload leg on 16 connections: admission control
+//!    must shed (503) and/or deadline-degrade, at least one request must
+//!    complete, and the p99 of completed requests, timed from each
+//!    request's scheduled arrival (no coordinated omission), must stay
+//!    under 500 ms.
+//! 3. **Crash + replay** — a Poisson-bursty churn stream where every
 //!    `202` is fingerprinted into a client-side mirror; mid-burst the
 //!    daemon gets SIGKILL, the WAL tail is additionally torn with garbage
 //!    bytes, and after restart the drill asserts the served live-event set
 //!    equals the mirror **exactly** (zero acknowledged-op loss) within a
 //!    bounded recovery time.
-//! 3. **Fault-injected appends** — the restarted daemon runs with
+//! 4. **Fault-injected appends** — the restarted daemon runs with
 //!    `GEM_FAILPOINTS=wal.append=1;wal.fsync=1`: the injected failures
 //!    must surface as `500` (never `202`), client retries must converge,
 //!    and a second SIGKILL/restart must still reproduce the mirror.
-//! 4. **Validated reload** — missing, corrupt and dim-mismatched model
+//! 5. **Validated reload** — missing, corrupt and dim-mismatched model
 //!    files (and one injected `server.reload` fault) are rejected with
 //!    4xx/5xx while the old generation keeps answering; a valid reload
 //!    then swaps generations with the live set preserved.
-//! 5. **Drain** — SIGTERM still exits cleanly after all of the above.
+//! 6. **Drain** — a request is put in flight on a primed keep-alive
+//!    connection, then SIGTERM lands: the request must still complete and
+//!    the daemon must exit cleanly after all of the above.
 //!
 //! Writes `BENCH_soak.json` (schema in EXPERIMENTS.md) and
 //! `journal_soak_bench.jsonl`; with `--smoke` every gate above is a hard
@@ -34,6 +47,7 @@ use gem_bench::net::{connect_with_retry, RetryPolicy};
 use gem_bench::Args;
 use gem_core::{save_model_v3, GemTrainer, TrainConfig};
 use gem_ebsn::{ChronoSplit, EventId, GraphBuildConfig, SplitRatios, SynthConfig, TrainingGraphs};
+use gem_obs::JournalRecord;
 use gem_server::live_fingerprint;
 use rand::RngExt;
 use std::collections::BTreeSet;
@@ -52,7 +66,8 @@ extern "C" {
 const SIGTERM: i32 = 15;
 const SIGKILL: i32 = 9;
 
-/// Connect retries spent across the run (journaled, like server_throughput).
+/// Connect retries spent across the run (journaled: a healthy local daemon
+/// needs zero, a restarting one a handful).
 static CONNECT_RETRIES: AtomicU64 = AtomicU64::new(0);
 
 fn connect(addr: &str) -> std::io::Result<TcpStream> {
@@ -74,8 +89,9 @@ fn one_shot(addr: &str, method: &str, target: &str) -> (u16, String) {
     (status, reply.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default())
 }
 
-/// Read one HTTP response off a keep-alive connection; returns the status.
-fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<u16> {
+/// Read one HTTP response off a keep-alive connection; returns the status
+/// and whether the body reports a deadline-degraded answer.
+fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, bool)> {
     let mut line = String::new();
     reader.read_line(&mut line)?;
     if line.is_empty() {
@@ -99,7 +115,7 @@ fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<u16> {
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    Ok(status)
+    Ok((status, String::from_utf8_lossy(&body).contains("\"degraded\":true")))
 }
 
 /// Extract the number following `"key":` in a flat JSON body (the daemon's
@@ -142,32 +158,57 @@ fn daemon_binary() -> PathBuf {
     candidate
 }
 
-/// Spawn `gem-serverd` over a saved model, returning once `LISTENING` and
-/// `/healthz` both answer. `recovery` is spawn -> first healthy reply —
-/// for restart legs this bounds model load + engine build + WAL replay.
+/// Worker pool and admission shape a daemon is spawned with.
+struct Shape {
+    workers: usize,
+    shards: usize,
+    shard_capacity: usize,
+    deadline_us: u64,
+}
+
+/// Every leg but the overload one: admission never binds at nominal load.
+const NOMINAL: Shape = Shape { workers: 6, shards: 2, shard_capacity: 64, deadline_us: 5_000 };
+
+/// The overload legs: one shard of capacity 2 behind 16 workers, so the
+/// worker pool is never the bottleneck ahead of admission. Its nominal
+/// leg uses as many connections as the capacity, so a healthy daemon can
+/// never shed it; its overload leg uses 16, which must reach the
+/// admission check and shed.
+const OVERLOAD: Shape = Shape { workers: 16, shards: 1, shard_capacity: 2, deadline_us: 1_000 };
+const OVERLOAD_CONNS: usize = 16;
+
+/// Size of the model the overload daemon synthesizes and trains itself
+/// (default dim 24, ≈ 1 000 users): 16 connections at 4 000 rps hold it
+/// in sustained overload, where the drill's own 320-user dim-8 model
+/// answers fast enough that only a handful of requests ever shed.
+const OVERLOAD_SCALE: usize = 60;
+const OVERLOAD_STEPS: u64 = 2_000;
+
+/// Spawn `gem-serverd` on the model `model_flags` pick (`--model` and
+/// `--live-events`, or the daemon's own `--scale`/`--steps`/`--seed`
+/// synthesis), returning once `LISTENING` and `/healthz` both answer.
+/// `recovery` is spawn -> first healthy reply — for restart legs this
+/// bounds model load + engine build + WAL replay.
 fn spawn_daemon(
-    model: &Path,
-    live_events: usize,
+    model_flags: &[String],
     wal: Option<&Path>,
     failpoints: Option<&str>,
+    shape: &Shape,
 ) -> (DaemonProc, Duration) {
     let spawn_at = Instant::now();
     let mut cmd = Command::new(daemon_binary());
+    cmd.args(model_flags);
     cmd.args([
         "--addr",
         "127.0.0.1:0",
-        "--model",
-        model.to_str().expect("model path utf-8"),
-        "--live-events",
-        &live_events.to_string(),
         "--workers",
-        "6",
+        &shape.workers.to_string(),
         "--shards",
-        "2",
+        &shape.shards.to_string(),
         "--shard-capacity",
-        "64",
+        &shape.shard_capacity.to_string(),
         "--deadline-us",
-        "5000",
+        &shape.deadline_us.to_string(),
         "--staleness-budget",
         "48",
     ]);
@@ -201,12 +242,16 @@ fn sigkill(daemon: &mut DaemonProc) {
     let _ = daemon.child.wait();
 }
 
-/// SIGTERM and wait for a clean exit.
-fn sigterm_drain(daemon: &mut DaemonProc) -> bool {
+fn sigterm(daemon: &DaemonProc) {
     #[cfg(unix)]
     unsafe {
         assert_eq!(kill(daemon.child.id() as i32, SIGTERM), 0, "kill(SIGTERM) failed");
     }
+}
+
+/// Wait (up to 10 s, then SIGKILL) for the daemon to exit; true on a
+/// clean exit.
+fn wait_exit(daemon: &mut DaemonProc) -> bool {
     let started = Instant::now();
     loop {
         match daemon.child.try_wait().expect("try_wait") {
@@ -241,6 +286,32 @@ fn served_live(addr: &str) -> BTreeSet<u32> {
     ids
 }
 
+/// The daemon's user count, from the `(have N)` of its unknown-user 404.
+fn probe_num_users(addr: &str) -> usize {
+    let (status, body) = one_shot(addr, "GET", "/recommend?user=4000000000");
+    assert_eq!(status, 404, "user-count probe: {body}");
+    let have = body.split("(have ").nth(1).and_then(|rest| rest.split(')').next());
+    have.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("bad user-count probe: {body}"))
+}
+
+/// Put a request in flight: one completed round trip first, so a serving
+/// worker owns the keep-alive connection (otherwise SIGTERM can win the
+/// race against accept and the request was never in flight), then a
+/// second request whose response the caller reads after signalling.
+fn put_in_flight(addr: &str) -> BufReader<TcpStream> {
+    let mut stream = connect(addr).expect("connect for drain");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    stream
+        .write_all(b"GET /recommend?user=2&n=10 HTTP/1.1\r\nHost: s\r\n\r\n")
+        .expect("send priming request");
+    let (status, _) = read_response(&mut reader).expect("priming response");
+    assert_eq!(status, 200, "priming request failed");
+    stream
+        .write_all(b"GET /recommend?user=1&n=10 HTTP/1.1\r\nHost: s\r\n\r\n")
+        .expect("send in-flight request");
+    reader
+}
+
 /// Fingerprint of a client-side mirror set.
 fn mirror_fp(mirror: &BTreeSet<u32>) -> u64 {
     let sorted: Vec<EventId> = mirror.iter().copied().map(EventId).collect();
@@ -271,10 +342,32 @@ fn churn_acked(addr: &str, mirror: &mut BTreeSet<u32>, event: u32) -> usize {
     panic!("churn {verb} {event}: no ack after {injected} injected 500s + retries");
 }
 
-/// Open-loop nominal serving leg: pre-laid Poisson arrivals dealt onto
-/// keep-alive connections, with a concurrent churn stream (the WAL's
-/// fsync path) running until the leg ends. Returns
-/// `(scheduled, completed_2xx, churn_acks)`.
+/// What one open-loop serving leg saw.
+#[derive(Default)]
+struct Leg {
+    scheduled: usize,
+    completed: usize,
+    degraded: usize,
+    shed_503: usize,
+    other_5xx: usize,
+    /// Latencies (ms) of completed requests, from scheduled arrival.
+    latencies_ms: Vec<f64>,
+    churn_acks: usize,
+}
+
+impl Leg {
+    fn p99_ms(&self) -> f64 {
+        let mut sorted = self.latencies_ms.clone();
+        sorted.sort_by(f64::total_cmp);
+        let at = ((sorted.len() as f64 - 1.0) * 0.99).round().max(0.0) as usize;
+        sorted.get(at).copied().unwrap_or(0.0)
+    }
+}
+
+/// Open-loop serving leg: pre-laid Poisson arrivals dealt onto keep-alive
+/// connections, with a concurrent churn stream (the WAL's fsync path)
+/// running until the leg ends. Each request's latency runs from its
+/// scheduled arrival, so queueing under overload is charged to the daemon.
 fn serving_leg(
     addr: &str,
     num_users: usize,
@@ -283,7 +376,7 @@ fn serving_leg(
     secs: f64,
     conns: usize,
     seed: u64,
-) -> (usize, usize, usize) {
+) -> Leg {
     let mut rng = gem_sampling::rng_from_seed(seed);
     let mut arrivals: Vec<(f64, u32)> = Vec::new();
     let mut t = 0.0f64;
@@ -295,7 +388,6 @@ fn serving_leg(
         }
         arrivals.push((t, (rng.random::<f64>() * num_users as f64) as u32));
     }
-    let scheduled = arrivals.len();
     let start = Instant::now() + Duration::from_millis(50);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -321,8 +413,8 @@ fn serving_leg(
             let mine: Vec<(f64, u32)> = arrivals.iter().skip(w).step_by(conns).copied().collect();
             let addr = addr.to_string();
             std::thread::spawn(move || {
-                let mut completed = 0usize;
-                let Ok(stream) = connect(&addr) else { return 0 };
+                let mut leg = Leg::default();
+                let Ok(stream) = connect(&addr) else { return leg };
                 let mut reader = BufReader::new(stream.try_clone().expect("clone"));
                 let mut stream = stream;
                 for &(offset, user) in &mine {
@@ -335,7 +427,13 @@ fn serving_leg(
                     let outcome =
                         stream.write_all(raw.as_bytes()).and_then(|()| read_response(&mut reader));
                     match outcome {
-                        Ok(status) if (200..300).contains(&status) => completed += 1,
+                        Ok((200..=299, degraded)) => {
+                            leg.completed += 1;
+                            leg.degraded += degraded as usize;
+                            leg.latencies_ms.push(due.elapsed().as_secs_f64() * 1e3);
+                        }
+                        Ok((503, _)) => leg.shed_503 += 1,
+                        Ok((500..=599, _)) => leg.other_5xx += 1,
                         Ok(_) => {}
                         Err(_) => match connect(&addr) {
                             Ok(fresh) => {
@@ -346,14 +444,22 @@ fn serving_leg(
                         },
                     }
                 }
-                completed
+                leg
             })
         })
         .collect();
-    let completed: usize = senders.into_iter().map(|h| h.join().expect("sender")).sum();
+    let mut leg = Leg { scheduled: arrivals.len(), ..Leg::default() };
+    for sender in senders {
+        let part = sender.join().expect("sender");
+        leg.completed += part.completed;
+        leg.degraded += part.degraded;
+        leg.shed_503 += part.shed_503;
+        leg.other_5xx += part.other_5xx;
+        leg.latencies_ms.extend(part.latencies_ms);
+    }
     stop.store(true, Ordering::Relaxed);
-    let churn_acks = churner.join().expect("churner");
-    (scheduled, completed, churn_acks)
+    leg.churn_acks = churner.join().expect("churner");
+    leg
 }
 
 /// Train a small GEM-A model on the shared graphs and save it as v3.
@@ -408,22 +514,25 @@ fn main() {
     let num_events = model_a.num_events();
     let live0 = (num_events * 3 / 5).max(1);
     println!("  model: {num_users} users x {num_events} events, {live0} initially live");
+    let a_path = model_a_path.to_str().expect("model path utf-8");
+    let saved_a = ["--model", a_path, "--live-events", &live0.to_string()].map(String::from);
 
     // ---- Leg 1: steady-state WAL overhead --------------------------------
     let (rate, leg_secs, conns) = if smoke { (250.0, 2.5, 2) } else { (400.0, 6.0, 2) };
     let mut completion = [0.0f64; 2]; // [no_wal, wal]
     let mut churn_acks = [0usize; 2];
+    let mut nominal_5xx = 0usize;
     let mut append_stats = (0u64, 0.0f64, 0.0f64); // (appends, mean_ms, p99_ms)
     for (i, with_wal) in [false, true].into_iter().enumerate() {
         let wal_path = scratch.join("overhead.wal");
         let _ = std::fs::remove_file(&wal_path);
         let wal = with_wal.then_some(wal_path.as_path());
-        let (mut daemon, _) = spawn_daemon(&model_a_path, live0, wal, None);
+        let (mut daemon, _) = spawn_daemon(&saved_a, wal, None, &NOMINAL);
         println!(
             "  [overhead {}] open-loop {rate} rps x {leg_secs}s + churn stream (wal={with_wal})",
             i + 1
         );
-        let (scheduled, completed, acks) = serving_leg(
+        let leg = serving_leg(
             &daemon.addr,
             num_users,
             num_events,
@@ -432,8 +541,9 @@ fn main() {
             conns,
             seed + i as u64,
         );
-        completion[i] = completed as f64 / scheduled.max(1) as f64;
-        churn_acks[i] = acks;
+        completion[i] = leg.completed as f64 / leg.scheduled.max(1) as f64;
+        churn_acks[i] = leg.churn_acks;
+        nominal_5xx += leg.shed_503 + leg.other_5xx;
         if with_wal {
             let (_, stats) = one_shot(&daemon.addr, "GET", "/stats");
             append_stats = (
@@ -443,11 +553,16 @@ fn main() {
             );
         }
         println!(
-            "      completion {:.4} ({completed}/{scheduled} at {:.0} rps), {acks} churn acks",
+            "      completion {:.4} ({}/{} at {:.0} rps), {} 5xx, {} churn acks",
             completion[i],
-            completed as f64 / leg_secs,
+            leg.completed,
+            leg.scheduled,
+            leg.completed as f64 / leg_secs,
+            leg.shed_503 + leg.other_5xx,
+            leg.churn_acks,
         );
-        assert!(sigterm_drain(&mut daemon), "overhead-leg daemon did not drain cleanly");
+        sigterm(&daemon);
+        assert!(wait_exit(&mut daemon), "overhead-leg daemon did not drain cleanly");
     }
     let overhead_pct = ((completion[0] - completion[1]) / completion[0].max(1e-9) * 100.0).max(0.0);
     println!(
@@ -455,10 +570,61 @@ fn main() {
         append_stats.1, append_stats.2, append_stats.0
     );
 
-    // ---- Leg 2: Poisson-bursty churn, mid-burst SIGKILL, replay ----------
+    // ---- Leg 2: nominal then overload on a small-admission daemon -------
+    let synth = format!("--scale {OVERLOAD_SCALE} --steps {OVERLOAD_STEPS} --seed {seed}");
+    let synth: Vec<String> = synth.split(' ').map(String::from).collect();
+    let (mut daemon, _) = spawn_daemon(&synth, None, None, &OVERLOAD);
+    let over_users = probe_num_users(&daemon.addr);
+    let over_events = served_live(&daemon.addr).last().map_or(1, |&x| x as usize + 1);
+    let (small_rate, small_secs) = if smoke { (300.0, 2.0) } else { (1_000.0, 4.0) };
+    println!(
+        "  [small nominal] 1/{OVERLOAD_SCALE} synth model, {over_users} users: open-loop \
+         {small_rate} rps x {small_secs}s on {} conns (1 shard x capacity 2)",
+        OVERLOAD.shard_capacity
+    );
+    let small = serving_leg(
+        &daemon.addr,
+        over_users,
+        over_events,
+        small_rate,
+        small_secs,
+        OVERLOAD.shard_capacity,
+        seed + 2,
+    );
+    let small_5xx = small.shed_503 + small.other_5xx;
+    println!(
+        "      {}/{} completed, {small_5xx} 5xx; p99 of completed {:.2} ms",
+        small.completed,
+        small.scheduled,
+        small.p99_ms()
+    );
+    let (over_rate, over_secs) = if smoke { (4_000.0, 2.0) } else { (8_000.0, 4.0) };
+    println!(
+        "  [overload] open-loop {over_rate} rps x {over_secs}s on {OVERLOAD_CONNS} conns \
+         (1 shard x capacity 2, 1 ms deadline)"
+    );
+    let overload = serving_leg(
+        &daemon.addr,
+        over_users,
+        over_events,
+        over_rate,
+        over_secs,
+        OVERLOAD_CONNS,
+        seed + 3,
+    );
+    let overload_p99_ms = overload.p99_ms();
+    let Leg { completed, scheduled, degraded, shed_503, other_5xx, .. } = &overload;
+    println!(
+        "      {completed}/{scheduled} completed, {degraded} degraded, {shed_503} shed, \
+         {other_5xx} other 5xx; p99 of completed {overload_p99_ms:.2} ms"
+    );
+    sigterm(&daemon);
+    assert!(wait_exit(&mut daemon), "overload-leg daemon did not drain cleanly");
+
+    // ---- Leg 3: Poisson-bursty churn, mid-burst SIGKILL, replay ----------
     let wal_path = scratch.join("churn.wal");
     let _ = std::fs::remove_file(&wal_path);
-    let (mut daemon, _) = spawn_daemon(&model_a_path, live0, Some(&wal_path), None);
+    let (mut daemon, _) = spawn_daemon(&saved_a, Some(&wal_path), None, &NOMINAL);
     println!("  [crash] bursty churn on {}, SIGKILL mid-burst", daemon.addr);
 
     let mut mirror: BTreeSet<u32> = (0..live0 as u32).collect();
@@ -494,9 +660,8 @@ fn main() {
 
     // Restart (with the next leg's WAL fail points pre-armed) and check
     // zero acknowledged-op loss.
-    let (daemon2, recovery) =
-        spawn_daemon(&model_a_path, live0, Some(&wal_path), Some("wal.append=1;wal.fsync=1"));
-    let mut daemon = daemon2;
+    let failpoints = Some("wal.append=1;wal.fsync=1");
+    let (mut daemon, recovery) = spawn_daemon(&saved_a, Some(&wal_path), failpoints, &NOMINAL);
     let recovery_ms = recovery.as_secs_f64() * 1e3;
     let served = served_live(&daemon.addr);
     let crash_match = served == mirror;
@@ -508,7 +673,7 @@ fn main() {
         mirror_fp(&mirror)
     );
 
-    // ---- Leg 3: fault-injected appends, second crash ---------------------
+    // ---- Leg 4: fault-injected appends, second crash ---------------------
     println!("  [faults] churn through armed wal.append/wal.fsync fail points");
     let mut injected_500s = 0usize;
     for _ in 0..(if smoke { 20 } else { 60 }) {
@@ -532,13 +697,13 @@ fn main() {
 
     sigkill(&mut daemon);
     let (daemon3, recovery2) =
-        spawn_daemon(&model_a_path, live0, Some(&wal_path), Some("server.reload=1"));
+        spawn_daemon(&saved_a, Some(&wal_path), Some("server.reload=1"), &NOMINAL);
     daemon = daemon3;
     let recovery2_ms = recovery2.as_secs_f64() * 1e3;
     let fault_match = served_live(&daemon.addr) == mirror;
     println!("      post-fault recovery {recovery2_ms:.0} ms, fingerprint match={fault_match}");
 
-    // ---- Leg 4: validated hot-reload -------------------------------------
+    // ---- Leg 5: validated hot-reload -------------------------------------
     println!("  [reload] rejection paths, then a real swap");
     let (_, health) = one_shot(&daemon.addr, "GET", "/healthz");
     let gen_before = json_num(&health, "generation").unwrap_or(-1.0) as u64;
@@ -567,137 +732,121 @@ fn main() {
          (gen {gen_before} -> {gen_after}, live preserved={reload_live_match})"
     );
 
-    // ---- Leg 5: drain ----------------------------------------------------
-    let drain_ok = sigterm_drain(&mut daemon);
-    println!("  [drain] SIGTERM exit_ok={drain_ok}");
+    // ---- Leg 6: drain with a request in flight ---------------------------
+    let mut in_flight = put_in_flight(&daemon.addr);
+    sigterm(&daemon);
+    let inflight_ok = matches!(read_response(&mut in_flight), Ok((200, _)));
+    let drain_ok = wait_exit(&mut daemon);
+    println!(
+        "  [drain] SIGTERM with a request in flight: completed={inflight_ok} exit_ok={drain_ok}"
+    );
 
-    let connect_retries = CONNECT_RETRIES.load(Ordering::Relaxed);
-
-    // ---- Artifacts -------------------------------------------------------
+    // ---- Artifacts: one record per leg, a BENCH_soak.json block and a
+    // journal line each ------------------------------------------------
+    let legs = [
+        (
+            "daemon",
+            JournalRecord::new()
+                .u64("scale", scale as u64)
+                .u64("dim", dim as u64)
+                .u64("steps", steps)
+                .u64("num_users", num_users as u64)
+                .u64("num_events", num_events as u64)
+                .u64("initial_live", live0 as u64)
+                .u64("staleness_budget", 48),
+        ),
+        (
+            "wal_overhead",
+            JournalRecord::new()
+                .f64("rate_rps", rate)
+                .f64("duration_s", leg_secs)
+                .f64("no_wal_completion", completion[0])
+                .f64("wal_completion", completion[1])
+                .f64("overhead_pct", overhead_pct)
+                .u64("wal_appends", append_stats.0)
+                .f64("append_mean_ms", append_stats.1)
+                .f64("append_p99_ms", append_stats.2)
+                .u64("churn_acks_no_wal", churn_acks[0] as u64)
+                .u64("churn_acks_wal", churn_acks[1] as u64)
+                .u64("nominal_5xx", nominal_5xx as u64),
+        ),
+        (
+            "overload",
+            JournalRecord::new()
+                .u64("scale", OVERLOAD_SCALE as u64)
+                .u64("steps", OVERLOAD_STEPS)
+                .u64("num_users", over_users as u64)
+                .f64("nominal_rate_rps", small_rate)
+                .f64("nominal_duration_s", small_secs)
+                .u64("nominal_connections", OVERLOAD.shard_capacity as u64)
+                .u64("nominal_scheduled", small.scheduled as u64)
+                .u64("nominal_completed", small.completed as u64)
+                .u64("nominal_5xx", small_5xx as u64)
+                .f64("rate_rps", over_rate)
+                .f64("duration_s", over_secs)
+                .u64("connections", OVERLOAD_CONNS as u64)
+                .u64("scheduled", overload.scheduled as u64)
+                .u64("completed_2xx", overload.completed as u64)
+                .u64("degraded", overload.degraded as u64)
+                .u64("shed_503", overload.shed_503 as u64)
+                .u64("other_5xx", overload.other_5xx as u64)
+                .f64("p99_ms", overload_p99_ms),
+        ),
+        (
+            "crash",
+            JournalRecord::new()
+                .u64("acked_ops", acked_before_kill as u64)
+                .bool("fingerprint_match", crash_match)
+                .f64("recovery_ms", recovery_ms)
+                .u64("replayed_ops", replayed_ops)
+                .u64("torn_bytes_injected", 3),
+        ),
+        (
+            "faults",
+            JournalRecord::new()
+                .u64("injected_500s", injected_500s as u64)
+                .u64("wal_append_hits", append_hits)
+                .u64("wal_fsync_hits", fsync_hits)
+                .u64("wal_append_errors", append_errors)
+                .bool("fingerprint_match", fault_match)
+                .f64("recovery_ms", recovery2_ms),
+        ),
+        (
+            "reload",
+            JournalRecord::new()
+                .u64("missing_status", missing_status as u64)
+                .u64("corrupt_status", corrupt_status as u64)
+                .u64("dim_mismatch_status", dim_status as u64)
+                .u64("injected_status", injected_status as u64)
+                .u64("success_status", success_status as u64)
+                .u64("generation_before", gen_before)
+                .u64("generation_after", gen_after)
+                .bool("serving_after_rejects", serving_after_rejects)
+                .bool("live_preserved", reload_live_match)
+                .u64("reloads", reloads)
+                .u64("reloads_rejected", reloads_rejected),
+        ),
+        (
+            "drain",
+            JournalRecord::new()
+                .bool("sigterm_exit_ok", drain_ok)
+                .bool("inflight_completed", inflight_ok)
+                .u64("connect_retries", CONNECT_RETRIES.load(Ordering::Relaxed)),
+        ),
+    ];
     let mut journal =
         gem_obs::Journal::create("journal_soak_bench.jsonl").expect("create soak journal");
-    journal.append(
-        &gem_obs::JournalRecord::new()
-            .str("journal", "soak_bench")
-            .str("leg", "wal_overhead")
-            .f64("no_wal_completion", completion[0])
-            .f64("wal_completion", completion[1])
-            .f64("overhead_pct", overhead_pct)
-            .u64("wal_appends", append_stats.0)
-            .f64("append_mean_ms", append_stats.1)
-            .f64("append_p99_ms", append_stats.2),
+    let mut json = format!(
+        "{{\n  \"bench\": \"soak_drill\",\n  \"smoke\": {smoke},\n{}",
+        gem_bench::host_json("  ")
     );
-    journal.append(
-        &gem_obs::JournalRecord::new()
-            .str("journal", "soak_bench")
-            .str("leg", "crash_replay")
-            .u64("acked_ops", acked_before_kill as u64)
-            .u64("fingerprint_match", crash_match as u64)
-            .f64("recovery_ms", recovery_ms)
-            .u64("replayed_ops", replayed_ops),
-    );
-    journal.append(
-        &gem_obs::JournalRecord::new()
-            .str("journal", "soak_bench")
-            .str("leg", "fault_injection")
-            .u64("injected_500s", injected_500s as u64)
-            .u64("append_hits", append_hits)
-            .u64("fsync_hits", fsync_hits)
-            .u64("fingerprint_match", fault_match as u64)
-            .f64("recovery_ms", recovery2_ms),
-    );
-    journal.append(
-        &gem_obs::JournalRecord::new()
-            .str("journal", "soak_bench")
-            .str("leg", "reload")
-            .u64("missing_status", missing_status as u64)
-            .u64("corrupt_status", corrupt_status as u64)
-            .u64("dim_mismatch_status", dim_status as u64)
-            .u64("injected_status", injected_status as u64)
-            .u64("success_status", success_status as u64)
-            .u64("serving_after_rejects", serving_after_rejects as u64)
-            .u64("live_preserved", reload_live_match as u64),
-    );
-    journal.append(
-        &gem_obs::JournalRecord::new()
-            .str("journal", "soak_bench")
-            .str("leg", "drain")
-            .u64("exit_ok", drain_ok as u64)
-            .u64("connect_retries", connect_retries),
-    );
+    for (leg, record) in &legs {
+        let tag = JournalRecord::new().str("journal", "soak_bench").str("leg", leg);
+        journal.append(&record.fields().iter().fold(tag, |r, (k, v)| r.field(k, v.clone())));
+        json.push_str(&format!(",\n  \"{leg}\": {}", record.to_json_line()));
+    }
+    json.push_str("\n}\n");
     assert_eq!(journal.write_errors(), 0, "soak journal hit I/O errors");
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"soak_drill\",\n",
-            "  \"smoke\": {smoke},\n",
-            "{host},\n",
-            "  \"daemon\": {{ \"scale\": {scale}, \"dim\": {dim}, \"steps\": {steps}, ",
-            "\"num_users\": {num_users}, \"num_events\": {num_events}, ",
-            "\"initial_live\": {live0}, \"staleness_budget\": 48 }},\n",
-            "  \"wal_overhead\": {{ \"rate_rps\": {rate:.0}, \"duration_s\": {secs:.1}, ",
-            "\"no_wal_completion\": {c0:.4}, \"wal_completion\": {c1:.4}, ",
-            "\"overhead_pct\": {overhead:.3}, \"wal_appends\": {appends}, ",
-            "\"append_mean_ms\": {amean:.4}, \"append_p99_ms\": {ap99:.4}, ",
-            "\"churn_acks_no_wal\": {acks0}, \"churn_acks_wal\": {acks1} }},\n",
-            "  \"crash\": {{ \"acked_ops\": {acked}, \"fingerprint_match\": {cmatch}, ",
-            "\"recovery_ms\": {rec1:.1}, \"replayed_ops\": {replayed}, ",
-            "\"torn_bytes_injected\": 3 }},\n",
-            "  \"faults\": {{ \"injected_500s\": {inj}, \"wal_append_hits\": {ahits}, ",
-            "\"wal_fsync_hits\": {fhits}, \"wal_append_errors\": {aerrs}, ",
-            "\"fingerprint_match\": {fmatch}, \"recovery_ms\": {rec2:.1} }},\n",
-            "  \"reload\": {{ \"missing_status\": {miss}, \"corrupt_status\": {corr}, ",
-            "\"dim_mismatch_status\": {dimst}, \"injected_status\": {injst}, ",
-            "\"success_status\": {succ}, \"generation_before\": {g0}, ",
-            "\"generation_after\": {g1}, \"serving_after_rejects\": {serving}, ",
-            "\"live_preserved\": {lmatch}, \"reloads\": {rl}, \"reloads_rejected\": {rlr} }},\n",
-            "  \"drain\": {{ \"sigterm_exit_ok\": {drain} }},\n",
-            "  \"connect_retries\": {retries}\n",
-            "}}\n",
-        ),
-        smoke = smoke,
-        host = gem_bench::host_json("  "),
-        scale = scale,
-        dim = dim,
-        steps = steps,
-        num_users = num_users,
-        num_events = num_events,
-        live0 = live0,
-        rate = rate,
-        secs = leg_secs,
-        c0 = completion[0],
-        c1 = completion[1],
-        overhead = overhead_pct,
-        appends = append_stats.0,
-        amean = append_stats.1,
-        ap99 = append_stats.2,
-        acks0 = churn_acks[0],
-        acks1 = churn_acks[1],
-        acked = acked_before_kill,
-        cmatch = crash_match,
-        rec1 = recovery_ms,
-        replayed = replayed_ops,
-        inj = injected_500s,
-        ahits = append_hits,
-        fhits = fsync_hits,
-        aerrs = append_errors,
-        fmatch = fault_match,
-        rec2 = recovery2_ms,
-        miss = missing_status,
-        corr = corrupt_status,
-        dimst = dim_status,
-        injst = injected_status,
-        succ = success_status,
-        g0 = gen_before,
-        g1 = gen_after,
-        serving = serving_after_rejects,
-        lmatch = reload_live_match,
-        rl = reloads,
-        rlr = reloads_rejected,
-        drain = drain_ok,
-        retries = connect_retries,
-    );
     std::fs::write("BENCH_soak.json", &json).expect("write BENCH_soak.json");
     println!("  wrote BENCH_soak.json + journal_soak_bench.jsonl");
 
@@ -715,6 +864,18 @@ fn main() {
             overhead_pct < 2.0,
             "steady-state WAL overhead {overhead_pct:.2}% breaches the 2% budget"
         );
+        assert_eq!(nominal_5xx, 0, "5xx on the nominal WAL legs");
+        assert_eq!(small_5xx, 0, "5xx at nominal load on the small-admission daemon");
+        assert!(
+            overload.shed_503 + overload.degraded > 0,
+            "overload leg neither shed nor degraded: admission/deadline paths never engaged"
+        );
+        assert!(overload.completed > 0, "overload leg completed nothing");
+        assert!(
+            overload_p99_ms < 500.0,
+            "p99 of completed requests under overload is unbounded ({overload_p99_ms:.1} ms): \
+             load shedding is not protecting accepted traffic"
+        );
         assert_eq!(missing_status, 404, "missing model file must 404");
         assert_eq!(corrupt_status, 400, "corrupt model accepted: {corrupt_body}");
         assert_eq!(dim_status, 400, "dim-mismatched model accepted: {dim_body}");
@@ -729,10 +890,14 @@ fn main() {
         assert_eq!(append_errors, 2, "server.wal_append_errors");
         assert_eq!(reloads, 1, "server.reloads");
         assert_eq!(reloads_rejected, 4, "server.reloads_rejected");
+        assert!(inflight_ok, "in-flight request was dropped during the SIGTERM drain");
         assert!(drain_ok, "daemon did not exit cleanly on SIGTERM after the soak");
         println!(
             "smoke OK: zero acked-op loss across 2 crashes, WAL overhead {overhead_pct:.2}%, \
-             reload rejections 404/400/400/500 with the old generation serving, clean drain"
+             zero nominal 5xx, overload shed {} / degraded {} with p99 {overload_p99_ms:.1} ms, \
+             reload rejections 404/400/400/500 with the old generation serving, clean drain \
+             with the in-flight request completed",
+            overload.shed_503, overload.degraded
         );
     }
 }

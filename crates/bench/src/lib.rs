@@ -195,9 +195,17 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args` (skipping the binary name).
+    /// Parse from `std::env::args` (skipping the binary name). On `--help`
+    /// or `-h`, print where the binary's usage is documented and exit 0
+    /// before the caller does any work (every bin writes artefacts to the
+    /// working directory, so running on would overwrite them).
     pub fn from_env() -> Self {
-        Self::parse(std::env::args().skip(1))
+        let argv: Vec<String> = std::env::args().collect();
+        if let Some(text) = help_text(&argv) {
+            println!("{text}");
+            std::process::exit(0);
+        }
+        Self::parse(argv.into_iter().skip(1))
     }
 
     /// Parse from an explicit iterator (testable).
@@ -217,14 +225,19 @@ impl Args {
         args
     }
 
-    /// A `--key value` as a parsed type, or the default.
+    /// A `--key value` as a parsed type, or the default when the flag is
+    /// absent.
+    ///
+    /// # Panics
+    /// When the value does not parse as `T`, naming the flag and the raw
+    /// value: a typo must not silently run with the default.
     pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.pairs
-            .iter()
-            .rev()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
+        match self.pairs.iter().rev().find(|(k, _)| k == key) {
+            Some((_, raw)) => raw
+                .parse()
+                .unwrap_or_else(|_| panic!("--{key}: cannot parse {raw:?} as the expected type")),
+            None => default,
+        }
     }
 
     /// True if `--flag` was passed.
@@ -233,8 +246,38 @@ impl Args {
     }
 }
 
-/// The `"host"` block shared by every `BENCH_*.json` the throughput
-/// benches write: thread budget and SIMD capability of the machine the
+/// The `--help` text when `argv` (binary name first) asks for it: where
+/// the binary documents its usage (each bin's module docs list its flags
+/// and outputs). `None` when neither `--help` nor `-h` was passed.
+pub fn help_text(argv: &[String]) -> Option<String> {
+    let (bin, rest) = argv.split_first()?;
+    if !rest.iter().any(|a| a == "--help" || a == "-h") {
+        return None;
+    }
+    let name = std::path::Path::new(bin).file_stem().and_then(|s| s.to_str()).unwrap_or("<bin>");
+    Some(format!(
+        "{name}: usage and flags are in the module docs of crates/bench/src/bin/{name}.rs"
+    ))
+}
+
+/// Bounded re-measure for the drills' timing gates: `measure` returns a
+/// `(reference, candidate)` pair of rates, and a candidate below
+/// `floor × reference` is measured up to twice more before it is believed,
+/// because single readings on small shared machines swing by a few percent
+/// either way. Returns the last pair.
+pub fn remeasured(floor: f64, mut measure: impl FnMut() -> (f64, f64)) -> (f64, f64) {
+    let (mut reference, mut candidate) = measure();
+    for _ in 0..2 {
+        if candidate >= floor * reference {
+            break;
+        }
+        (reference, candidate) = measure();
+    }
+    (reference, candidate)
+}
+
+/// The `"host"` block shared by every `BENCH_*.json` the bench bins
+/// write: thread budget and SIMD capability of the machine the
 /// numbers were measured on, so recorded results are interpretable later.
 ///
 /// * `available_parallelism` — `std::thread::available_parallelism`
@@ -259,7 +302,7 @@ pub fn host_json(indent: &str) -> String {
 
 /// Roll every `journal_*.jsonl` and `BENCH_*.json` in the working
 /// directory into `report.html` — the convergence dashboard
-/// (DESIGN.md §5.8). Best-effort: a throughput bench never fails because
+/// (DESIGN.md §5.8). Best-effort: a bench never fails because
 /// the dashboard could not render, so problems go to stderr and the
 /// bench's own artifacts stay authoritative. (`convergence_report` is the
 /// exception: it gates on the dashboard inline, with hard asserts.)
@@ -273,10 +316,10 @@ pub fn emit_report() {
     }
 }
 
-/// TCP client plumbing shared by the serving benches (`server_throughput`,
-/// `soak_drill`): connect with bounded exponential-backoff retry and
-/// per-attempt timeouts instead of aborting the whole bench on one
-/// refused connection (daemon restarting, accept queue momentarily full).
+/// TCP client plumbing for the daemon drill (`soak_drill`): connect with
+/// bounded exponential-backoff retry and per-attempt timeouts instead of
+/// aborting the whole run on one refused connection (daemon restarting,
+/// accept queue momentarily full).
 pub mod net {
     use std::io;
     use std::net::{SocketAddr, TcpStream};
@@ -406,6 +449,24 @@ mod tests {
         assert_eq!(a.get("missing", 5i32), 5);
         assert!(a.flag("quick"));
         assert!(!a.flag("other"));
+    }
+
+    #[test]
+    #[should_panic(expected = "--scale: cannot parse \"abc\"")]
+    fn malformed_value_panics_naming_flag_and_value() {
+        let a = Args::parse(["--scale", "abc"].map(String::from));
+        let _: usize = a.get("scale", 40);
+    }
+
+    #[test]
+    fn help_points_at_the_bin_module_docs() {
+        let argv = ["/x/target/release/scale_sweep", "--scale", "4", "-h"].map(String::from);
+        let text = help_text(&argv).expect("-h asks for help");
+        assert!(text.contains("crates/bench/src/bin/scale_sweep.rs"), "{text}");
+        let argv = ["scale_sweep", "--help"].map(String::from);
+        assert!(help_text(&argv).is_some());
+        let argv = ["scale_sweep", "--scale", "4", "--smoke"].map(String::from);
+        assert_eq!(help_text(&argv), None);
     }
 
     #[test]

@@ -344,9 +344,9 @@ impl AdaptiveState {
 /// context node and draws the rank from the truncated geometric.
 ///
 /// Cost per draw is `O(|V|·K + |V| log |V|)`, which the paper rightly calls
-/// infeasible for training — it exists here as the ground-truth reference
-/// the approximate sampler is validated against (see tests) and as an
-/// ablation for the `samplers` criterion bench.
+/// infeasible for training — it exists only as the ground-truth reference
+/// the approximate sampler is validated against in this module's tests.
+#[cfg(test)]
 #[derive(Debug)]
 pub struct ExactAdaptiveSampler {
     candidates: Vec<u32>,
@@ -355,12 +355,14 @@ pub struct ExactAdaptiveSampler {
 
 /// Caller-owned scratch for [`ExactAdaptiveSampler`] draws, mirroring the
 /// trainer's `StepBuffers` pattern: allocate once, reuse per draw.
+#[cfg(test)]
 #[derive(Debug, Default)]
 pub struct ExactScratch {
     row: Vec<f32>,
     scored: Vec<(f32, u32)>,
 }
 
+#[cfg(test)]
 impl ExactScratch {
     /// Empty scratch; buffers grow to the right size on first use.
     pub fn new() -> Self {
@@ -368,6 +370,7 @@ impl ExactScratch {
     }
 }
 
+#[cfg(test)]
 impl ExactAdaptiveSampler {
     /// Build over the candidate node ids.
     ///
@@ -388,7 +391,7 @@ impl ExactAdaptiveSampler {
     }
 
     /// Like [`Self::sample`], but reusing caller-owned scratch so repeated
-    /// draws (the benches' hot loop) perform no per-call allocation.
+    /// draws perform no per-call allocation.
     pub fn sample_with<R: Rng>(
         &self,
         matrix: &AtomicMatrix,

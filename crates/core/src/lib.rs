@@ -40,7 +40,7 @@ pub mod persist;
 pub mod simd;
 pub mod trainer;
 
-pub use adaptive::{AdaptiveState, ExactAdaptiveSampler, ExactScratch, RefreshObs};
+pub use adaptive::{AdaptiveState, RefreshObs};
 pub use checkpoint::{Checkpoint, Checkpointer, LoadedCheckpoint};
 pub use config::{GraphChoice, NoiseKind, RectifyMode, SamplingDirection, TrainConfig};
 pub use error::TrainError;

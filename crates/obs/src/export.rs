@@ -122,7 +122,7 @@ mod tests {
 
     /// Fixed registrations + fixed records → byte-exact exporter output.
     /// This is the registry's determinism contract: if this golden breaks,
-    /// dashboards and the BENCH_serving.json schema break with it.
+    /// dashboards and every `/stats` consumer break with it.
     #[test]
     fn golden_json_snapshot() {
         let reg = MetricsRegistry::new();

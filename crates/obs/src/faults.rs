@@ -15,7 +15,8 @@
 //!   check is two atomic loads — the one-time env-init flag and a
 //!   process-wide arm counter — plus a predicted-not-taken branch; no
 //!   locks, no allocation, no clock reads.
-//!   The training-throughput smoke gate holds this to <2% end-to-end.
+//!   `fault_drill --smoke` stage 5 (checkpoint tax) holds this to <2%
+//!   end-to-end.
 //! * **Armed** checks take a registry mutex; armed runs are test runs, so
 //!   the lock cost is irrelevant.
 //!

@@ -98,14 +98,12 @@ pub struct EmitOutcome {
 
 /// Discover journals/bench artifacts in `dir`, build the dashboard,
 /// self-check it, and write `dir/report.html` — the one-call regenerate
-/// path shared by the bench harness (`gem_bench::emit_report`) and the
-/// serving daemon's `GET /report` route.
+/// path behind the bench harness's `gem_bench::emit_report`.
 ///
 /// # Errors
 /// A human-readable reason when nothing renderable exists in `dir`, the
 /// rendered HTML fails the tag-balance self-check, or the write fails.
-/// Callers decide whether that is fatal (the daemon answers 404 with the
-/// reason as a hint; benches log it and move on).
+/// Callers decide whether that is fatal (benches log it and move on).
 pub fn emit_into(dir: &Path) -> Result<EmitOutcome, String> {
     let inputs = discover(dir).map_err(|e| format!("cannot scan {}: {e}", dir.display()))?;
     let report = build_report(&inputs);

@@ -54,7 +54,6 @@
 //! | `POST /events/retire?event=X` | `202`, WAL-fsynced (if configured) and queued for maintenance |
 //! | `GET /events/live` | `200` JSON: published live-event ids + fingerprint |
 //! | `POST /reload?path=P` | `200` after a validated model swap; `4xx`/`5xx` rejection keeps serving the old generation |
-//! | `GET /report` | `200` HTML convergence dashboard (regenerated best-effort), else `404` with a hint |
 //! | `POST /shutdown` | `200`, starts a drain |
 
 use crate::http::{self, ParseError, Request, Response};
@@ -103,9 +102,6 @@ pub struct DaemonConfig {
     /// the next start, compact after each rebuild. `None` keeps churn
     /// mailbox-only (the pre-WAL behaviour; a crash forgets queued ops).
     pub wal_path: Option<std::path::PathBuf>,
-    /// Directory `GET /report` regenerates and serves `report.html` from
-    /// (where the bench journals land; `.` for the working directory).
-    pub report_dir: std::path::PathBuf,
     /// How long a `POST /reload` handler waits for the maintenance thread
     /// to validate + swap before answering `503` (the reload itself keeps
     /// running; a later retry observes the new generation).
@@ -125,7 +121,6 @@ impl Default for DaemonConfig {
             watch_os_signals: true,
             journal_path: None,
             wal_path: None,
-            report_dir: std::path::PathBuf::from("."),
             reload_timeout: Duration::from_secs(30),
         }
     }
@@ -779,7 +774,6 @@ fn route(req: &Request, shared: &Shared, scratch: &mut ServeScratch) -> Response
         ("POST", "/events/retire") => churn(req, shared, false),
         ("GET", "/events/live") => events_live(shared),
         ("POST", "/reload") => reload(req, shared),
-        ("GET", "/report") => report(shared),
         ("POST", "/shutdown") => {
             shared.shutdown.store(true, Ordering::SeqCst);
             Response::text(200, "draining\n")
@@ -987,20 +981,6 @@ fn reload(req: &Request, shared: &Shared) -> Response {
         }
         Ok(Err((status, message))) => Response::error(status, &message),
         Err(_) => Response::error(503, "reload still validating; retry to observe the outcome"),
-    }
-}
-
-/// `GET /report`: regenerate `report.html` from the journals in
-/// `DaemonConfig::report_dir` (best-effort) and serve it. 404 with the
-/// regeneration hint when nothing renderable exists yet.
-fn report(shared: &Shared) -> Response {
-    let regen = gem_report::emit_into(&shared.cfg.report_dir);
-    match std::fs::read(shared.cfg.report_dir.join("report.html")) {
-        Ok(html) => Response::html(200, html),
-        Err(_) => {
-            let hint = regen.err().unwrap_or_else(|| "report.html vanished after render".into());
-            Response::error(404, &format!("no report yet: {hint}"))
-        }
     }
 }
 

@@ -179,11 +179,6 @@ impl Response {
         Response { status, content_type: "application/json", body: body.into().into_bytes() }
     }
 
-    /// A `text/html` response (already-rendered bytes, e.g. `report.html`).
-    pub fn html(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Response { status, content_type: "text/html; charset=utf-8", body: body.into() }
-    }
-
     /// A JSON error envelope: `{"error":"..."}`.
     pub fn error(status: u16, message: &str) -> Self {
         Self::json(status, format!("{{\"error\":\"{}\"}}\n", message.replace('"', "'")))

@@ -22,9 +22,8 @@
 //!
 //! See DESIGN.md §5.6 (daemon) and §5.9 (WAL + validated hot-reload +
 //! chaos soak) for the architecture and invariants, and
-//! `crates/bench/src/bin/{server_throughput,soak_drill}.rs` for the
-//! open-loop load generator and the fault-injected soak that gate this
-//! daemon in CI.
+//! `crates/bench/src/bin/soak_drill.rs` for the open-loop, fault-injected
+//! soak (nominal, overload and drain legs) that gates this daemon in CI.
 
 #![warn(missing_docs)]
 

@@ -11,7 +11,7 @@
 //!             [--dim 24] [--top-k 16] [--workers 4] [--shards 8]
 //!             [--shard-capacity 64] [--deadline-us 5000]
 //!             [--staleness-budget 256] [--top-n 10] [--journal PATH]
-//!             [--wal PATH] [--report-dir DIR] [--reload-timeout-ms 30000]
+//!             [--wal PATH] [--reload-timeout-ms 30000]
 //! ```
 //!
 //! `--wal PATH` turns churn `202`s into crash-durability promises: ops are
@@ -32,7 +32,7 @@ use gem_server::{signal, Daemon, DaemonConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Minimal `--key value` / `--flag` argument parser (same contract as
+/// Minimal `--key value` / `--flag` argument parser (same syntax as
 /// `gem_bench::Args`, kept local so the daemon does not pull the bench
 /// crate into its dependency graph).
 struct Args(Vec<String>);
@@ -125,7 +125,6 @@ fn main() {
         watch_os_signals: true,
         journal_path: args.get_opt("journal").map(std::path::PathBuf::from),
         wal_path: args.get_opt("wal").map(std::path::PathBuf::from),
-        report_dir: std::path::PathBuf::from(args.get_opt("report-dir").unwrap_or(".")),
         reload_timeout: Duration::from_millis(args.get("reload-timeout-ms", 30_000u64)),
     };
 

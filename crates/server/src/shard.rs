@@ -5,8 +5,8 @@
 //! Shedding at admission keeps the latency of *accepted* requests bounded
 //! under overload (the deadline-degraded serving path bounds each accepted
 //! query; the cap bounds how many are in the system), which is what the
-//! open-loop `server_throughput` bench gates on: p99 of completed requests
-//! stays flat while the reject counter absorbs the excess.
+//! overload leg of the `soak_drill` bench gates on: p99 of completed
+//! requests stays flat while the reject counter absorbs the excess.
 
 use gem_ebsn::UserId;
 use gem_obs::CachePadded;

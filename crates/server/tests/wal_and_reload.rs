@@ -7,11 +7,11 @@
 //!   maintenance thread absorbing the op — its WAL tail is additionally
 //!   torn with garbage bytes, and a restart must reconstruct *exactly* the
 //!   acknowledged live-event set.
-//! * **In-process** (`reload_*`, `report_*`): the reload validation
+//! * **In-process** (`reload_*`): the reload validation
 //!   matrix (missing / corrupt / dim-mismatch / shrunken-coverage files
 //!   are rejected with 4xx while the old generation keeps serving, and
-//!   crucially keeps its *generation number*), reload ordering against
-//!   in-flight churn, and the `GET /report` route.
+//!   crucially keeps its *generation number*), and reload ordering
+//!   against in-flight churn.
 
 use gem_core::{save_model_v3, GemModel};
 use gem_ebsn::{EventId, UserId};
@@ -190,7 +190,7 @@ fn wal_survives_kill_dash_nine_with_torn_tail() {
 }
 
 // ---------------------------------------------------------------------------
-// In-process: reload validation matrix + ordering, /report route.
+// In-process: reload validation matrix + ordering.
 // ---------------------------------------------------------------------------
 
 fn start_daemon(cfg: DaemonConfig, live_events: u32) -> (Daemon, String) {
@@ -283,35 +283,6 @@ fn reload_behind_in_flight_churn_keeps_the_ack() {
         live_ids(&live).contains(&11),
         "churn acked before the reload must survive the swap: {live}"
     );
-
-    daemon.shutdown();
-    daemon.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn report_route_renders_and_hints() {
-    let dir = scratch("report");
-    let cfg = DaemonConfig { report_dir: dir.clone(), ..test_config() };
-    let (daemon, addr) = start_daemon(cfg, 4);
-
-    // Nothing renderable yet: 404 with the reason as a hint.
-    let (status, body) = http(&addr, "GET", "/report");
-    assert_eq!(status, 404);
-    assert!(body.contains("no report yet"), "hint missing: {body}");
-
-    // Drop a minimal training journal in and the same route regenerates.
-    std::fs::write(
-        dir.join("journal_train.jsonl"),
-        "{\"journal\":\"train\",\"label\":\"t\",\"epoch_steps\":10}\n\
-         {\"epoch\":1,\"steps_per_sec\":100,\"loss_proxy\":0.5}\n\
-         {\"epoch\":2,\"steps_per_sec\":110,\"loss_proxy\":0.4}\n",
-    )
-    .expect("write journal");
-    let (status, body) = http(&addr, "GET", "/report");
-    assert_eq!(status, 200, "{body}");
-    assert!(body.contains("<html"), "should serve the rendered dashboard");
-    assert!(dir.join("report.html").exists(), "route regenerates on disk");
 
     daemon.shutdown();
     daemon.join();
