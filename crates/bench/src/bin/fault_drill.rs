@@ -20,7 +20,7 @@
 //!    recovery skips it for the previous valid generation.
 //! 4. **Finish** — the resumed trainer runs the remaining steps under the
 //!    same cadence; the final model round-trips through
-//!    [`save_model`]/[`load_model`].
+//!    [`save_model_v3`]/[`load_model`].
 //! 5. **Checkpoint tax** — with every fail point disarmed, single-thread
 //!    [`GemTrainer::run_checkpointed`] (one generation per run) must keep
 //!    98% of plain [`GemTrainer::run`] steps/sec: best of 3 runs of
@@ -35,7 +35,7 @@
 //! artifact upload.
 
 use gem_bench::{remeasured, Args, City, ExperimentEnv, Variant};
-use gem_core::{load_model, save_model, Checkpointer, GemTrainer, TrainConfig};
+use gem_core::{load_model, save_model_v3, Checkpointer, GemTrainer, TrainConfig};
 use gem_ebsn::TrainingGraphs;
 use gem_obs::{faults, FaultMode, Journal, JournalRecord};
 use std::io::{BufRead, BufReader, Write};
@@ -265,7 +265,7 @@ fn main() {
 
     let model_path = dir.join("final.model");
     let model = trainer.model();
-    save_model(&model, &model_path).expect("save final model");
+    save_model_v3(&model, &model_path).expect("save final model");
     let reloaded = load_model(&model_path).expect("final model round-trips");
     assert_eq!(reloaded.dim, model.dim, "model dimension changed across persist");
     assert_eq!(reloaded.users, model.users, "user matrix changed across persist");

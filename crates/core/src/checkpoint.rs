@@ -14,8 +14,13 @@
 //! ckpts/
 //!   gen-000001.ckpt      "GEMK" | version u32 | seed u64 | steps u64
 //!   gen-000002.ckpt          | 10 × draws u64 | model_len u32
-//!   MANIFEST.json            | model bytes (GEMM v2) | crc32 u32
+//!   MANIFEST.json            | model bytes (GEMM v3) | crc32 u32
 //! ```
+//!
+//! The model section is exactly what [`crate::save_model_v3`] writes, and
+//! is read back through the same reader as a model file. It states its own
+//! version, so generations written when the section was GEMM v2 still
+//! resume through the model loader's legacy branch.
 //!
 //! The commit protocol is write-then-publish, both halves atomic:
 //!
@@ -224,7 +229,7 @@ fn encode(ckpt: &Checkpoint) -> Result<Vec<u8>, PersistError> {
 }
 
 /// Parse checkpoint bytes, validating the outer CRC and the embedded
-/// model's own format (including its inner CRC).
+/// model's own format (including its own CRCs).
 fn parse(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     if bytes.len() < 12 {
         return Err(PersistError::Corrupt("truncated header"));
@@ -252,7 +257,7 @@ fn parse(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
     if cur.remaining() != model_len {
         return Err(PersistError::Corrupt("model section length mismatch"));
     }
-    let model = persist::parse_model(cur.take_rest())?;
+    let model = persist::read_model(std::io::Cursor::new(cur.take_rest()))?;
     Ok(Checkpoint { seed, steps, adaptive_draws, model })
 }
 

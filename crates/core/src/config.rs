@@ -3,8 +3,6 @@
 /// How noise (negative) nodes are drawn for a positive edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NoiseKind {
-    /// Uniform over the candidate node set (what PCMF-style BPR uses).
-    Uniform,
     /// `P_n(v) ∝ deg(v)^0.75` — word2vec/LINE-style (GEM-P, PTE).
     Degree,
     /// The adaptive rank-based adversarial sampler of §III-B (GEM-A).
@@ -34,16 +32,14 @@ pub enum GraphChoice {
 
 /// Where the rectifier (non-negativity) projection of §III-A is applied.
 ///
-/// The paper says updated node vectors are projected to non-negative
-/// values but does not spell out whether that includes the noise nodes'
-/// updates. The distinction matters: rectifying *everything* pins
-/// `σ(v·k) ≥ 0.5`, so noise updates never vanish and low-degree nodes are
-/// ground into the zero vector (measured in a trainer-knob ablation grid
-/// during development).
-/// Rectifying only the positive pair keeps vectors non-negative wherever it
-/// matters (they are re-projected every time they occur positively) while
-/// letting the SGNS noise force anneal naturally — and reproduces the
-/// paper's orderings. `Full` and `Off` are kept as ablation knobs.
+/// The paper projects updated node vectors to non-negative values. Any
+/// persistent projection collapses the event matrix: at a non-negative
+/// dot the logistic never falls below ½, so noise updates never vanish
+/// and nodes sampled as noise more often than as positives — cold events
+/// above all — are ground into the zero vector. Training therefore
+/// defaults to `Off` (plain SGNS dynamics), which is what reproduces the
+/// paper's orderings (DESIGN.md §4, decision 2); `Full` and
+/// `PositivesOnly` are kept as ablation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RectifyMode {
     /// Project after every update, including noise-node updates.

@@ -49,9 +49,6 @@ pub use math::SigmoidLut;
 pub use matrix::AtomicMatrix;
 pub use metrics::TrainerMetrics;
 pub use model::{EventScorer, GemModel};
-pub use persist::{
-    load_model, load_model_streaming, save_model, save_model_v3, save_model_v3_chunked,
-    ModelReader, PersistError, DEFAULT_CHUNK_ROWS,
-};
+pub use persist::{load_model, save_model_v3, ModelReader, PersistError};
 pub use simd::Backend as SimdBackend;
 pub use trainer::{GemTrainer, PhaseBreakdown, TrainProgress};

@@ -1159,7 +1159,6 @@ impl<'g> GemTrainer<'g> {
         let mut last = None;
         for attempt in 0..4 {
             let k = match self.config.noise {
-                NoiseKind::Uniform => rng.random_range(0..count) as u32,
                 NoiseKind::Degree => {
                     let table = self.tables.segment(seg::noise(gi, side as usize))?;
                     table.sample(rng) as u32

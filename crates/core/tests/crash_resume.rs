@@ -7,7 +7,7 @@
 //! `fault_drill` binary; this test keeps the guarantee wired into plain
 //! `cargo test`.
 
-use gem_core::{load_model, save_model, Checkpointer, GemTrainer, TrainConfig};
+use gem_core::{load_model, save_model_v3, Checkpointer, GemTrainer, TrainConfig};
 use gem_ebsn::{ChronoSplit, GraphBuildConfig, SplitRatios, SynthConfig, TrainingGraphs};
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Command, Stdio};
@@ -104,7 +104,7 @@ fn sigkill_mid_epoch_resumes_from_latest_valid_checkpoint() {
     // Training continues and the result is a loadable model.
     trainer.run_checkpointed(CADENCE, 2, CADENCE, &sink).expect("resumed training chunk");
     let model_path = dir.join("recovered.model");
-    save_model(&trainer.model(), &model_path).expect("save recovered model");
+    save_model_v3(&trainer.model(), &model_path).expect("save recovered model");
     let reloaded = load_model(&model_path).expect("recovered model loads");
     assert_eq!(reloaded.users, trainer.model().users);
     let _ = std::fs::remove_dir_all(&dir);

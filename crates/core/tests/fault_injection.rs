@@ -8,7 +8,7 @@
 //! failing assertion cannot leak an armed fault into the next test.
 
 use gem_core::{
-    load_model, save_model, Checkpointer, GemTrainer, PersistError, TrainConfig, TrainError,
+    load_model, save_model_v3, Checkpointer, GemTrainer, PersistError, TrainConfig, TrainError,
 };
 use gem_ebsn::{ChronoSplit, GraphBuildConfig, SplitRatios, SynthConfig, TrainingGraphs};
 use gem_obs::faults;
@@ -72,7 +72,7 @@ fn fsync_failure_surfaces_as_io_error_and_commits_nothing() {
     let path = scratch("fsync").with_extension("model");
 
     faults::arm("persist.fsync", FaultMode::Times(1));
-    let err = save_model(&model, &path).unwrap_err();
+    let err = save_model_v3(&model, &path).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err:?}");
     assert!(faults::hits("persist.fsync") > 0);
     assert!(!path.exists(), "failed save must not commit a file");
@@ -95,13 +95,13 @@ fn rename_failure_leaves_the_previous_snapshot_intact() {
     let graphs = tiny_graphs();
     let model = trained_model(&graphs);
     let path = scratch("rename").with_extension("model");
-    save_model(&model, &path).unwrap();
+    save_model_v3(&model, &path).unwrap();
 
     let trainer = GemTrainer::new(&graphs, small_config()).unwrap();
     trainer.run(4_000, 1);
     let newer = trainer.model();
     faults::arm("persist.rename", FaultMode::Times(1));
-    let err = save_model(&newer, &path).unwrap_err();
+    let err = save_model_v3(&newer, &path).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err:?}");
 
     // The previous snapshot is byte-for-byte still there.
@@ -120,7 +120,7 @@ fn short_write_commits_a_torn_file_that_load_rejects() {
     // The nastiest persist fault: the write "succeeds" (rename commits),
     // but the bytes on disk are truncated — a torn page / lost tail.
     faults::arm("persist.short_write", FaultMode::Times(1));
-    save_model(&model, &path).unwrap();
+    save_model_v3(&model, &path).unwrap();
     assert!(path.exists(), "short write still commits a (torn) file");
     let err = load_model(&path).unwrap_err();
     assert!(matches!(err, PersistError::Corrupt(_)), "{err:?}");
@@ -298,8 +298,8 @@ fn env_spec_grammar_arms_and_counts() {
     let graphs = tiny_graphs();
     let model = trained_model(&graphs);
     let path = scratch("envspec").with_extension("model");
-    assert!(save_model(&model, &path).is_err(), "spec-armed fsync fault did not fire");
+    assert!(save_model_v3(&model, &path).is_err(), "spec-armed fsync fault did not fire");
     faults::disarm_all();
-    save_model(&model, &path).expect("Times(1) fault must not fire twice");
+    save_model_v3(&model, &path).expect("Times(1) fault must not fire twice");
     let _ = std::fs::remove_file(&path);
 }

@@ -13,10 +13,8 @@
 //! sides being users; each undirected friendship contributes the two
 //! directed edges, matching how LINE treats undirected graphs.
 
-use serde::{Deserialize, Serialize};
-
 /// The type of node living on one side of a bipartite graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// A user.
     User,
@@ -31,7 +29,7 @@ pub enum NodeKind {
 }
 
 /// One weighted edge of a bipartite graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Edge {
     /// Left-side node index.
     pub left: u32,
@@ -42,7 +40,7 @@ pub struct Edge {
 }
 
 /// A weighted bipartite graph between two typed node sets.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BipartiteGraph {
     left_kind: NodeKind,
     right_kind: NodeKind,

@@ -11,10 +11,9 @@
 use crate::ids::{EventId, UserId};
 use crate::model::EbsnDataset;
 use crate::split::{ChronoSplit, Partition};
-use serde::{Deserialize, Serialize};
 
 /// A positive test case for cold-start event recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventRecCase {
     /// The target user.
     pub user: UserId,
@@ -23,7 +22,7 @@ pub struct EventRecCase {
 }
 
 /// A positive triple for joint event-partner recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartnerTriple {
     /// The target user.
     pub user: UserId,
@@ -34,7 +33,7 @@ pub struct PartnerTriple {
 }
 
 /// The two partner evaluation scenarios of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartnerScenario {
     /// Partners are existing friends; the friendship edge stays in training.
     Friends,
@@ -44,7 +43,7 @@ pub enum PartnerScenario {
 }
 
 /// Complete ground truth for one dataset + split.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GroundTruth {
     /// Event recommendation cases over the test partition.
     pub event_cases: Vec<EventRecCase>,

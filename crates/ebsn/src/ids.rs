@@ -5,14 +5,10 @@
 //! arrays over hash maps on hot paths). The newtypes prevent the classic
 //! "passed a user id where an event id was expected" bug at compile time.
 
-use serde::{Deserialize, Serialize};
-
 macro_rules! dense_id {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
         pub struct $name(pub u32);
 
         impl $name {

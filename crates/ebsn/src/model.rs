@@ -8,10 +8,9 @@
 
 use crate::ids::{EventId, UserId, VenueId};
 use gem_spatial::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// A social event: where, when and what.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Event {
     /// Venue the event is held at (dense venue id; coordinates live in
     /// [`EbsnDataset::venues`]).
@@ -23,7 +22,7 @@ pub struct Event {
 }
 
 /// A normalized event-based social network dataset.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct EbsnDataset {
     /// Human-readable dataset name (e.g. `"beijing-sim"`).
     pub name: String,
@@ -153,7 +152,7 @@ impl DatasetIndex {
 }
 
 /// Counts matching the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatasetStats {
     /// Total users.
     pub num_users: usize,

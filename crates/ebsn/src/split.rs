@@ -8,10 +8,9 @@
 
 use crate::ids::EventId;
 use crate::model::EbsnDataset;
-use serde::{Deserialize, Serialize};
 
 /// Which partition an event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partition {
     /// Training event: its attendance edges are visible at training time.
     Train,
@@ -23,7 +22,7 @@ pub enum Partition {
 
 /// Split ratios; defaults follow the paper (train 0.7, then the held-out 0.3
 /// split 1:2 into validation/test).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SplitRatios {
     /// Fraction of events (earliest by start time) used for training.
     pub train: f64,
@@ -38,7 +37,7 @@ impl Default for SplitRatios {
 }
 
 /// A chronological split of a dataset's events.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChronoSplit {
     /// Partition of each event, indexed by event id.
     pub partition: Vec<Partition>,

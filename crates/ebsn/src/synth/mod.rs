@@ -27,10 +27,8 @@ mod generator;
 
 pub use generator::generate;
 
-use serde::{Deserialize, Serialize};
-
 /// All knobs of the Douban-Sim generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthConfig {
     /// Dataset name.
     pub name: String,
@@ -150,7 +148,7 @@ impl SynthConfig {
 }
 
 /// What the generator actually produced (after the activity filter).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SynthesisReport {
     /// Users surviving the `min_events_per_user` filter.
     pub num_users: usize,

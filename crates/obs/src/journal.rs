@@ -19,7 +19,6 @@
 
 use crate::export::{escape_json, fmt_f64};
 use crate::json::JsonValue;
-use serde::{Deserialize, Serialize};
 use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -28,7 +27,7 @@ use std::path::{Path, PathBuf};
 ///
 /// Numbers keep their source type so integers survive the round trip
 /// exactly (an `f64` can only hold integers up to 2^53).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalValue {
     /// Unsigned integer.
     U64(u64),
@@ -76,7 +75,7 @@ impl JournalValue {
 ///     .to_json_line();
 /// assert_eq!(line, "{\"epoch\":3,\"loss\":0.25,\"variant\":\"GEM-A\"}");
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalRecord {
     fields: Vec<(String, JournalValue)>,
 }

@@ -624,7 +624,7 @@ fn process_reload(
     path: &Path,
     shared: &Shared,
 ) -> Result<u64, (u16, String)> {
-    let mut reader = ModelReader::open(path).map_err(|e| persist_status(&e, path))?;
+    let reader = ModelReader::open(path).map_err(|e| persist_status(&e, path))?;
     let serving_dim = engine.model().dim;
     if reader.dim() != serving_dim {
         return Err((
@@ -660,13 +660,14 @@ fn process_reload(
             ));
         }
     }
-    // Full-file CRC walk before committing to materialization: a bit flip
-    // anywhere rejects here, with the old generation still serving.
-    reader.verify().map_err(|e| persist_status(&e, path))?;
+    // One read through the handle whose shape was just checked: a model
+    // saved over `path` since the open is never the one swapped in. Every
+    // chunk is CRC-checked, so a bit flip anywhere rejects here, with the
+    // old generation still serving.
+    let model = reader.materialize().map_err(|e| persist_status(&e, path))?;
     if let Some(e) = gem_obs::faults::io_error("server.reload") {
         return Err((500, format!("injected reload failure: {e}")));
     }
-    let model = gem_core::load_model(path).map_err(|e| persist_status(&e, path))?;
     let next = engine
         .reload_model(model)
         .map_err(|e| (503, format!("reload rejected by memory budget: {e}")))?;

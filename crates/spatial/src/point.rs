@@ -1,7 +1,5 @@
 //! Validated geographic coordinates and great-circle distance.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean Earth radius in kilometres (IUGG).
 pub const EARTH_RADIUS_KM: f64 = 6371.0088;
 
@@ -32,7 +30,7 @@ impl std::fmt::Display for GeoError {
 impl std::error::Error for GeoError {}
 
 /// A point on the Earth's surface in decimal degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     lat: f64,
     lon: f64,

@@ -5,11 +5,10 @@
 //! words outside a `[min_df, max_df_fraction]` band — rare words are noise,
 //! ubiquitous words are stop-word-like.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Dense id of a vocabulary word (also its embedding row).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WordId(pub u32);
 
 impl WordId {
@@ -76,7 +75,7 @@ impl VocabularyBuilder {
 }
 
 /// A frozen word ↔ id mapping with document frequencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Vocabulary {
     word_to_id: HashMap<String, WordId>,
     words: Vec<String>,

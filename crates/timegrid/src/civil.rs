@@ -5,10 +5,8 @@
 //! entire proleptic Gregorian calendar. Only the pieces the time grid needs
 //! are exposed: date components, weekday, and hour-of-day.
 
-use serde::{Deserialize, Serialize};
-
 /// Day of week.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Weekday {
     /// Monday
     Monday,
@@ -61,7 +59,7 @@ impl Weekday {
 
 /// A broken-down civil date-time (no timezone; the timestamp is interpreted
 /// as already being in the event's local time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CivilDateTime {
     /// Gregorian year (may be negative for ancient timestamps).
     pub year: i32,

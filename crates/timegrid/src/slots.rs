@@ -11,7 +11,6 @@
 //! | `32`     | weekend            |
 
 use crate::civil::{CivilDateTime, Weekday};
-use serde::{Deserialize, Serialize};
 
 /// Total number of time-slot nodes in the event–time graph.
 pub const NUM_TIME_SLOTS: usize = 33;
@@ -20,7 +19,7 @@ pub const NUM_TIME_SLOTS: usize = 33;
 pub const SLOTS_PER_EVENT: usize = 3;
 
 /// One of the 33 time-slot nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TimeSlot {
     /// Hour of day, 0–23.
     Hour(
@@ -75,7 +74,7 @@ impl TimeSlot {
 }
 
 /// The three slots (one per scale) an event timestamp maps to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeSlotSet {
     /// Hour-scale slot.
     pub hour: TimeSlot,
